@@ -27,6 +27,14 @@
 //!   buffers are dropped. The out-of-order window is a handful of batches
 //!   (stragglers), never the population.
 //!
+//! The courseware is **published once per layout, then mounted**: the
+//! first session needing a (workload, shards, replica) combination
+//! builds a throwaway installation from its own config, `load_doc`s the
+//! workload into it and captures a [`CourseImage`]; every session then
+//! mounts that image into its freshly built installation instead of
+//! journaling the same courseware and re-hashing the same store again.
+//! A mounted installation is byte-identical to a `load_doc`'d one.
+//!
 //! Determinism is the contract: student `i` always runs with the seed
 //! derived from `(base_seed, i)`, every merge walks strict index order,
 //! and nothing host-dependent reaches a digest — so the campus digest,
@@ -43,7 +51,7 @@
 //! failed-over / slow / failed sessions), and the merged snapshot is
 //! judged against declarative SLOs ([`default_campus_slos`]).
 
-use crate::system::{ClientId, MitsSystem, SessionScratch, SystemConfig, SystemError};
+use crate::system::{ClientId, CourseImage, MitsSystem, SessionScratch, SystemConfig, SystemError};
 use bytes::Bytes;
 use mits_db::{RetryPolicy, ShardRouter};
 use mits_media::{MediaFormat, MediaId, MediaObject, VideoDims};
@@ -53,7 +61,7 @@ use mits_sim::{
     Histogram, MetricsSnapshot, ReplayBundle, SampleReason, SessionTail, SimDuration, SimTime, Slo,
     SloInput, SloReport, TailSignals, Timeline, TimelineRecorder, TraceSampler,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -840,6 +848,7 @@ impl Campus {
 
         let queue = BatchQueue::new(n_batches, workers);
         let window = AdmissionWindow::new(max_concurrent);
+        let images = CourseImages::default();
         let merge = Mutex::new(MergeState::new(sink, tl_window));
         let fatal: Mutex<Option<SystemError>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
@@ -866,17 +875,24 @@ impl Campus {
                         None => base,
                     };
                     // admit: wait for an admission slot, then build the
-                    // session's world (reusing this worker's scratch).
+                    // session's world (reusing this worker's scratch) and
+                    // mount its courseware.
                     window.admit();
-                    let ran = run_session(
-                        &self.workloads[student % self.workloads.len()],
-                        &sampler,
-                        &spec,
-                        &config,
-                        tl_window,
-                        std::mem::take(&mut scratch),
-                        None,
-                    );
+                    let workload = student % self.workloads.len();
+                    let ran = images
+                        .get(&self.workloads, workload, &config)
+                        .and_then(|image| {
+                            run_session(
+                                &self.workloads[workload],
+                                &image,
+                                &sampler,
+                                &spec,
+                                &config,
+                                tl_window,
+                                std::mem::take(&mut scratch),
+                                None,
+                            )
+                        });
                     // retire: the session's world is already torn down
                     // (its allocations harvested into `scratch`); free
                     // the admission slot and fold the outcome.
@@ -1045,8 +1061,10 @@ impl Campus {
             }
             profile_top = mits_sim::profile_tracer(&sys.tracer).render_top(10);
         };
+        let workload = &self.workloads[bundle.workload % self.workloads.len()];
         let (outcome, _) = run_session(
-            &self.workloads[bundle.workload % self.workloads.len()],
+            workload,
+            &publish(workload, &config)?,
             &sampler,
             &spec,
             &config,
@@ -1147,6 +1165,39 @@ impl ReportSink for CaptureSink {
         if report.student == self.student {
             self.report = Some(report.clone());
         }
+    }
+}
+
+/// Build a throwaway installation from `config`, journal `workload` into
+/// it with [`MitsSystem::load_doc`] and capture the result. `load_doc`
+/// stays the only path that writes a WAL; sessions mount the image.
+fn publish(workload: &CampusWorkload, config: &SystemConfig) -> Result<CourseImage, SystemError> {
+    let mut sys = MitsSystem::build(config)?;
+    sys.load_doc(&workload.objects, &workload.media, workload.root);
+    sys.image()
+}
+
+/// The course images of one campus run, published lazily: one per
+/// (workload, shards, replica), since the store a publication leaves
+/// depends on nothing else in a session's config.
+#[derive(Default)]
+struct CourseImages(Mutex<HashMap<(usize, usize, bool), Arc<CourseImage>>>);
+
+impl CourseImages {
+    fn get(
+        &self,
+        workloads: &[CampusWorkload],
+        workload: usize,
+        config: &SystemConfig,
+    ) -> Result<Arc<CourseImage>, SystemError> {
+        let key = (workload, config.shards.max(1), config.replica);
+        let mut images = self.0.lock().expect("course images");
+        if let Some(image) = images.get(&key) {
+            return Ok(Arc::clone(image));
+        }
+        let image = Arc::new(publish(&workloads[workload], config)?);
+        images.insert(key, Arc::clone(&image));
+        Ok(image)
     }
 }
 
@@ -1330,14 +1381,17 @@ impl AdmissionWindow {
     }
 }
 
-/// Run one student's whole session: fetch the courseware closure, then
-/// fetch every media object (cold cache — each session is a fresh seat).
-/// A mid-session failure (deadline expired, server gone for good) does
-/// *not* abort the campus: the session retires with `failed` set, its
-/// partial observables folded under [`SESSION_FAILED_MARK`]. Only a
-/// build failure — a broken config — is fatal.
+/// Run one student's whole session: mount the published courseware,
+/// fetch its closure, then fetch every media object (cold cache — each
+/// session is a fresh seat). A mid-session failure (deadline expired,
+/// server gone for good) does *not* abort the campus: the session
+/// retires with `failed` set, its partial observables folded under
+/// [`SESSION_FAILED_MARK`]. Only a build or mount failure — a broken
+/// config — is fatal.
+#[allow(clippy::too_many_arguments)]
 fn run_session(
     workload: &CampusWorkload,
+    image: &CourseImage,
     sampler: &TraceSampler,
     spec: &SessionSpec,
     config: &SystemConfig,
@@ -1349,7 +1403,7 @@ fn run_session(
 ) -> Result<(SessionOutcome, SessionScratch), SystemError> {
     let start = Instant::now();
     let mut sys = MitsSystem::build_with_scratch(config, scratch)?;
-    sys.load_doc(&workload.objects, &workload.media, workload.root);
+    sys.mount(image)?;
     let student_id = ClientId(0);
 
     // Root span over the whole session: every request span nests under

@@ -44,4 +44,4 @@ pub use cod::{CodReport, CodSession};
 pub use models::{compare_delivery_models, reuse_ablation, ModelMetrics, ReuseReport};
 pub use stack::{layer_breakdown, LayerCost};
 pub use stream::{stream_video_over, StreamReport};
-pub use system::{ClientId, MitsSystem, SystemConfig};
+pub use system::{ClientId, CourseImage, MitsSystem, SystemConfig};

@@ -18,7 +18,7 @@ use mits_db::{
     merge_doc_ids, merge_doc_lists, peek_req_id, peek_response_trace, read_snapshot, wal,
     ClientAction, ClientEvent, DbClient, DbClientMetrics, DbError, DbServer, EdgeCache,
     KeywordTree, RecoveryReport, Request, Response, RetryPolicy, Route, ServiceModel, ShardRouter,
-    SharedLogDevice,
+    SharedLogDevice, StoreImage,
 };
 use mits_media::{MediaId, MediaObject};
 use mits_mheg::{MhegId, MhegObject};
@@ -337,6 +337,16 @@ pub struct MitsSystem {
     /// When each queued response becomes ready, keyed by (endpoint,
     /// req_id) — consumed on delivery to stamp the downlink hop span.
     resp_meta: BTreeMap<(usize, u64), SimTime>,
+}
+
+/// A courseware published once and mountable into any number of fresh
+/// installations with the same shard/replica layout (see
+/// [`MitsSystem::image`] and [`MitsSystem::mount`]): one [`StoreImage`]
+/// per database server, in server-index order.
+pub struct CourseImage {
+    shards: usize,
+    group_size: usize,
+    servers: Vec<StoreImage>,
 }
 
 /// Reusable allocation capacity carried from one retired [`MitsSystem`]
@@ -1503,6 +1513,63 @@ impl MitsSystem {
         for d in 0..self.router.shards() {
             let _ = self.servers[d * self.group_size].db.take_outbox();
         }
+    }
+
+    /// Capture what publishing (e.g. [`MitsSystem::load_doc`]) left on
+    /// every database server as an immutable [`CourseImage`]. Fails when
+    /// a server has history besides the journaled publication.
+    pub fn image(&self) -> Result<CourseImage, SystemError> {
+        let mut servers: Vec<StoreImage> = self
+            .servers
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                s.db.image()
+                    .map_err(|e| SystemError::Protocol(format!("image of server {i}: {e}")))
+            })
+            .collect::<Result<_, _>>()?;
+        // A replica loaded alongside its primary journals the same
+        // bytes: keep each distinct journal once.
+        for i in 1..servers.len() {
+            let (earlier, rest) = servers.split_at_mut(i);
+            for e in earlier.iter() {
+                rest[0].share_journal(e);
+            }
+        }
+        Ok(CourseImage {
+            shards: self.router.shards(),
+            group_size: self.group_size,
+            servers,
+        })
+    }
+
+    /// Mount a published image in place of journaling the courseware
+    /// again: every server ends up byte-identical to a
+    /// [`MitsSystem::load_doc`] of the same courseware — WAL device,
+    /// cursor, counters, maps, index and digest — while the WAL device
+    /// references the image's journal segment instead of copying it.
+    /// An error, never a panic, when the installation is not fresh or
+    /// its shard/replica layout differs from the image's.
+    pub fn mount(&mut self, image: &CourseImage) -> Result<(), SystemError> {
+        if (image.shards, image.group_size) != (self.router.shards(), self.group_size) {
+            return Err(SystemError::Protocol(format!(
+                "course image for {} shard(s) x {} server(s) does not fit {} x {}",
+                image.shards,
+                image.group_size,
+                self.router.shards(),
+                self.group_size
+            )));
+        }
+        if let Some(i) = self.servers.iter().position(|s| !s.db.is_fresh()) {
+            return Err(SystemError::Protocol(format!(
+                "cannot mount a course image: server {i} is not fresh"
+            )));
+        }
+        for (s, img) in self.servers.iter_mut().zip(&image.servers) {
+            s.db.mount(img)
+                .map_err(|e| SystemError::Protocol(format!("mount: {e}")))?;
+        }
+        Ok(())
     }
 
     // ---------- the paper's query facade (§5.3.2) ----------

@@ -40,10 +40,10 @@ pub use protocol::{
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{first_objects, merge_doc_ids, merge_doc_lists, EdgeCache, Route, ShardRouter};
-pub use server::{CheckpointStats, DbServer, RecoveryReport, ServiceModel};
+pub use server::{CheckpointStats, DbServer, ImageError, RecoveryReport, ServiceModel, StoreImage};
 pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_MAGIC};
 pub use store::{ContentStore, ObjectStore};
 pub use wal::{
-    crc32, decode_frame, encode_frame, read_frames, FileLogDevice, LogDevice, MemLogDevice,
-    ReplayReport, SharedLogDevice, Wal, WalRecord,
+    decode_frame, encode_frame, read_frames, FileLogDevice, LogDevice, MemLogDevice, ReplayReport,
+    SharedLogDevice, Wal, WalRecord,
 };

@@ -47,9 +47,9 @@ impl ServiceModel {
 /// The database server.
 pub struct DbServer {
     /// MHEG object store (scenario database).
-    pub objects: ObjectStore,
+    objects: ObjectStore,
     /// Bulk content store.
-    pub content: ContentStore,
+    content: ContentStore,
     index: RwLock<KeywordTree>,
     model: ServiceModel,
     /// Queue depth at or beyond which the server sheds load with
@@ -82,6 +82,9 @@ pub struct DbServer {
     wal_bytes_replayed: RwLock<u64>,
     /// Checkpoints taken.
     checkpoints_taken: RwLock<u64>,
+    /// Memoised [`DbServer::state_digest`]; every store mutation clears
+    /// it, a mounted image seeds it.
+    digest: Mutex<Option<u64>>,
 }
 
 impl Default for DbServer {
@@ -111,6 +114,7 @@ impl DbServer {
             wal_bytes_journaled: RwLock::new(0),
             wal_bytes_replayed: RwLock::new(0),
             checkpoints_taken: RwLock::new(0),
+            digest: Mutex::new(None),
         }
     }
 
@@ -162,9 +166,12 @@ impl DbServer {
         self.journal(&WalRecord::PutObject {
             object: obj.clone(),
         });
-        self.objects
+        let version = self
+            .objects
             .put_if_version(obj, prev)
-            .expect("write gate serializes object puts")
+            .expect("write gate serializes object puts");
+        self.stale();
+        version
     }
 
     /// Store a media object: journal first, then apply.
@@ -174,13 +181,23 @@ impl DbServer {
             media: media.clone(),
         });
         self.content.put(media);
+        self.stale();
     }
 
     /// Remove an object: journal first, then apply.
     pub fn remove_object(&self, id: MhegId) -> bool {
         let _gate = self.write_gate.lock();
         self.journal(&WalRecord::RemoveObject { id });
-        self.objects.remove(id)
+        let removed = self.objects.remove(id);
+        self.stale();
+        removed
+    }
+
+    /// Forget the memoised digest. Called *after* the store changed, so
+    /// a digest being computed meanwhile (under the memo lock) is
+    /// cleared once it lands instead of surviving stale.
+    fn stale(&self) {
+        *self.digest.lock() = None;
     }
 
     /// Append a record to the WAL (when attached) and queue the framed
@@ -377,6 +394,14 @@ impl DbServer {
     /// store already reflects is a no-op, never a version double-bump.
     /// Bookmark records belong to the navigator and are skipped here.
     pub fn apply_record(&self, rec: &WalRecord) -> bool {
+        let changed = self.apply(rec);
+        if changed {
+            self.stale();
+        }
+        changed
+    }
+
+    fn apply(&self, rec: &WalRecord) -> bool {
         match rec {
             WalRecord::PutObject { object } => {
                 let v = object.info.version;
@@ -491,6 +516,15 @@ impl DbServer {
         self.wal.lock().as_ref().map_or(0, Wal::device_len)
     }
 
+    /// Every byte on the WAL device (empty when no WAL is attached).
+    pub fn wal_contents(&self) -> Vec<u8> {
+        self.wal
+            .lock()
+            .as_ref()
+            .map(Wal::contents)
+            .unwrap_or_default()
+    }
+
     /// The server's failover epoch, stamped on every response.
     pub fn epoch(&self) -> u64 {
         *self.epoch.read()
@@ -500,6 +534,85 @@ impl DbServer {
     /// above every epoch it may have answered under before the crash).
     pub fn set_epoch(&self, epoch: u64) {
         *self.epoch.write() = epoch;
+    }
+
+    // ---------- course images ----------
+
+    /// True when the server has history an image does not carry: served
+    /// or shed requests, checkpoints, a recovery, a failover epoch, or
+    /// frames awaiting shipment.
+    fn has_unjournaled_history(&self) -> bool {
+        *self.requests_served.read() > 0
+            || *self.requests_shed.read() > 0
+            || *self.checkpoints_taken.read() > 0
+            || *self.wal_bytes_replayed.read() > 0
+            || self.epoch() != 0
+            || !self.outbox.lock().is_empty()
+            || self.snap.lock().as_ref().is_some_and(|d| !d.is_empty())
+    }
+
+    /// True when nothing has happened to this server yet: empty stores
+    /// and index, nothing journaled, no other history.
+    pub fn is_fresh(&self) -> bool {
+        self.objects.is_empty()
+            && self.content.is_empty()
+            && self.index.read().is_empty()
+            && *self.wal_records_journaled.read() == 0
+            && self
+                .wal
+                .lock()
+                .as_ref()
+                .is_none_or(|w| w.next_seq() == 0 && w.device_len() == 0)
+            && !self.has_unjournaled_history()
+    }
+
+    /// Capture what publishing left on this server as an immutable
+    /// [`StoreImage`]. Refused when the server did anything besides
+    /// journaled mutations, since the image would not reproduce it.
+    pub fn image(&self) -> Result<StoreImage, ImageError> {
+        if self.has_unjournaled_history() {
+            return Err(ImageError::NotPublished);
+        }
+        let wal = self
+            .wal
+            .lock()
+            .as_ref()
+            .map(|w| (Bytes::from(w.contents()), w.next_seq()));
+        Ok(StoreImage {
+            objects: self.objects.clone(),
+            content: self.content.clone(),
+            index: self.index.read().clone(),
+            wal,
+            wal_records_journaled: *self.wal_records_journaled.read(),
+            wal_bytes_journaled: *self.wal_bytes_journaled.read(),
+            digest: self.state_digest(),
+        })
+    }
+
+    /// Mount a published image into this fresh server. The maps and the
+    /// index are cloned (their values share payloads through `Bytes`),
+    /// the journal segment is appended to the WAL device by reference,
+    /// and the counters, cursor and digest are adopted: the server ends
+    /// up exactly as if the publication had been journaled here, without
+    /// re-encoding or re-hashing any of it. Refused unless the server is
+    /// [fresh](DbServer::is_fresh) and journals exactly when the image's
+    /// source did.
+    pub fn mount(&mut self, image: &StoreImage) -> Result<(), ImageError> {
+        if !self.is_fresh() {
+            return Err(ImageError::NotFresh);
+        }
+        match (self.wal.get_mut(), &image.wal) {
+            (Some(w), Some((segment, next_seq))) => w.mount(segment, *next_seq),
+            (None, None) => {}
+            _ => return Err(ImageError::Durability),
+        }
+        self.objects = image.objects.clone();
+        self.content = image.content.clone();
+        *self.index.get_mut() = image.index.clone();
+        *self.wal_records_journaled.get_mut() = image.wal_records_journaled;
+        *self.wal_bytes_journaled.get_mut() = image.wal_bytes_journaled;
+        *self.digest.get_mut() = Some(image.digest);
+        Ok(())
     }
 
     /// Snapshot the server's counters into `reg` under `prefix` (e.g.
@@ -541,7 +654,13 @@ impl DbServer {
     /// Order-independent digest of the visible store state (objects with
     /// exact versions, media with payloads) — what the crash-recovery
     /// tests compare between a recovered server and a crash-free run.
+    /// Memoised until the next mutation; a mounted image supplies it.
     pub fn state_digest(&self) -> u64 {
+        let mut memo = self.digest.lock();
+        *memo.get_or_insert_with(|| self.compute_digest())
+    }
+
+    fn compute_digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         fn mix(h: &mut u64, bytes: &[u8]) {
@@ -584,6 +703,60 @@ pub struct CheckpointStats {
     /// Journal cursor the snapshot covers up to (exclusive).
     pub through_seq: u64,
 }
+
+/// The published state of one server, captured once by
+/// [`DbServer::image`] and mounted into any number of fresh servers by
+/// [`DbServer::mount`]: the object and content maps, the keyword index,
+/// the journal as one shared segment with its cursor and counters, and
+/// the store digest. Immutable once captured.
+pub struct StoreImage {
+    objects: ObjectStore,
+    content: ContentStore,
+    index: KeywordTree,
+    /// The journal segment and the next sequence number; `None` for a
+    /// server without durability.
+    wal: Option<(Bytes, u64)>,
+    wal_records_journaled: u64,
+    wal_bytes_journaled: u64,
+    digest: u64,
+}
+
+impl StoreImage {
+    /// Keep one allocation for two identical journals: when `other`
+    /// holds the same WAL bytes (a replica loaded alongside its
+    /// primary), this image drops its copy and shares `other`'s.
+    pub fn share_journal(&mut self, other: &StoreImage) {
+        if let (Some((mine, _)), Some((theirs, _))) = (&mut self.wal, &other.wal) {
+            if *mine == *theirs {
+                *mine = theirs.clone();
+            }
+        }
+    }
+}
+
+/// Why [`DbServer::image`] or [`DbServer::mount`] refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ImageError {
+    /// The source server has history beyond its journaled publication.
+    NotPublished,
+    /// The mount target is not a fresh server.
+    NotFresh,
+    /// One of the image's source and the mount target journals and the
+    /// other does not.
+    Durability,
+}
+
+impl std::fmt::Display for ImageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ImageError::NotPublished => "server has history beyond its journaled publication",
+            ImageError::NotFresh => "mount target is not a fresh server",
+            ImageError::Durability => "image and mount target disagree on durability",
+        })
+    }
+}
+
+impl std::error::Error for ImageError {}
 
 /// What [`DbServer::recover`] read, applied, and discarded. The byte
 /// counts drive the simulation's recovery-latency model: a restarted

@@ -16,6 +16,15 @@ pub struct ObjectStore {
     objects: RwLock<HashMap<MhegId, MhegObject>>,
 }
 
+/// A consistent copy of the map; values share payloads through `Bytes`.
+impl Clone for ObjectStore {
+    fn clone(&self) -> Self {
+        ObjectStore {
+            objects: RwLock::new(self.objects.read().clone()),
+        }
+    }
+}
+
 impl ObjectStore {
     /// An empty store.
     pub fn new() -> Self {
@@ -150,6 +159,15 @@ impl ObjectStore {
 #[derive(Default)]
 pub struct ContentStore {
     media: RwLock<HashMap<MediaId, MediaObject>>,
+}
+
+/// A consistent copy of the map; payloads are shared, not copied.
+impl Clone for ContentStore {
+    fn clone(&self) -> Self {
+        ContentStore {
+            media: RwLock::new(self.media.read().clone()),
+        }
+    }
 }
 
 impl ContentStore {

@@ -42,42 +42,10 @@ use crate::protocol::DbError;
 use bytes::{BufMut, Bytes, BytesMut};
 use mits_media::MediaObject;
 use mits_mheg::{decode_object, encode_object, MhegId, MhegObject, WireFormat};
+use mits_sim::crc32;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
-
-// ---------- CRC-32 (IEEE 802.3, reflected) ----------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) over `data` — the checksum guarding every WAL frame.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---------- log devices ----------
 
@@ -87,6 +55,11 @@ pub fn crc32(data: &[u8]) -> u32 {
 pub trait LogDevice: Send {
     /// Append bytes at the end of the device.
     fn append(&mut self, data: &[u8]);
+    /// Append an immutable shared segment. Devices that can keep a
+    /// reference to it instead of a copy ([`SharedLogDevice`]) do.
+    fn append_shared(&mut self, data: &Bytes) {
+        self.append(data);
+    }
     /// The full device contents.
     fn read_all(&self) -> Vec<u8>;
     /// Keep only the first `len` bytes (torn-tail cleanup, checkpoints).
@@ -135,9 +108,21 @@ impl LogDevice for MemLogDevice {
 /// A device whose bytes outlive the server that wrote them — the
 /// simulation's stand-in for a disk that survives a process crash. Clone
 /// handles share the same storage.
+///
+/// The storage is a shared, immutable base segment plus a private tail:
+/// a server that mounts a published course image appends the image's
+/// journal with [`LogDevice::append_shared`], which on an empty device
+/// keeps a reference to the segment instead of copying it, so thousands
+/// of mounted sessions hold one copy of the published WAL between them.
 #[derive(Debug, Default, Clone)]
 pub struct SharedLogDevice {
-    data: Arc<Mutex<Vec<u8>>>,
+    data: Arc<Mutex<Segments>>,
+}
+
+#[derive(Debug, Default)]
+struct Segments {
+    base: Bytes,
+    tail: Vec<u8>,
 }
 
 impl SharedLogDevice {
@@ -149,43 +134,51 @@ impl SharedLogDevice {
     /// A shared device pre-loaded with `data` (recovery tests).
     pub fn with_data(data: Vec<u8>) -> Self {
         SharedLogDevice {
-            data: Arc::new(Mutex::new(data)),
+            data: Arc::new(Mutex::new(Segments {
+                base: Bytes::new(),
+                tail: data,
+            })),
         }
     }
 
     /// Snapshot of the device contents.
     pub fn snapshot(&self) -> Vec<u8> {
-        self.data.lock().clone()
-    }
-
-    /// Overwrite the device contents (checkpoint rewrite).
-    pub fn reset(&self, data: &[u8]) {
-        let mut d = self.data.lock();
-        d.clear();
-        d.extend_from_slice(data);
-    }
-
-    /// Corrupt one byte in place (fault-injection tests).
-    pub fn flip_bit(&self, pos: usize, bit: u8) {
-        let mut d = self.data.lock();
-        if pos < d.len() {
-            d[pos] ^= 1 << (bit & 7);
-        }
+        self.read_all()
     }
 }
 
 impl LogDevice for SharedLogDevice {
     fn append(&mut self, data: &[u8]) {
-        self.data.lock().extend_from_slice(data);
+        self.data.lock().tail.extend_from_slice(data);
+    }
+    fn append_shared(&mut self, data: &Bytes) {
+        let mut d = self.data.lock();
+        if d.base.is_empty() && d.tail.is_empty() {
+            d.base = data.clone();
+        } else {
+            d.tail.extend_from_slice(data);
+        }
     }
     fn read_all(&self) -> Vec<u8> {
-        self.data.lock().clone()
+        let d = self.data.lock();
+        let mut out = Vec::with_capacity(d.base.len() + d.tail.len());
+        out.extend_from_slice(&d.base);
+        out.extend_from_slice(&d.tail);
+        out
     }
     fn truncate_to(&mut self, len: usize) {
-        self.data.lock().truncate(len);
+        let mut d = self.data.lock();
+        if len <= d.base.len() {
+            d.base = d.base.slice(..len);
+            d.tail.clear();
+        } else {
+            let keep = len - d.base.len();
+            d.tail.truncate(keep);
+        }
     }
     fn len(&self) -> usize {
-        self.data.lock().len()
+        let d = self.data.lock();
+        d.base.len() + d.tail.len()
     }
 }
 
@@ -473,13 +466,13 @@ pub const FRAME_HEADER: usize = 8;
 
 /// Wrap a record payload in a checksummed frame carrying `seq`.
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Bytes {
-    let mut body = BytesMut::with_capacity(8 + payload.len());
-    body.put_u64(seq);
-    body.put_slice(payload);
-    let mut f = BytesMut::with_capacity(FRAME_HEADER + body.len());
-    f.put_u32(body.len() as u32);
-    f.put_u32(crc32(&body));
-    f.put_slice(&body);
+    let mut f = BytesMut::with_capacity(FRAME_HEADER + 8 + payload.len());
+    f.put_u32((8 + payload.len()) as u32);
+    f.put_u32(0); // checksum, filled in once the body is in place
+    f.put_u64(seq);
+    f.put_slice(payload);
+    let crc = crc32(&f[FRAME_HEADER..]);
+    f[4..FRAME_HEADER].copy_from_slice(&crc.to_be_bytes());
     f.freeze()
 }
 
@@ -571,10 +564,6 @@ pub fn read_frames(data: &[u8]) -> (Vec<(u64, WalRecord)>, ReplayReport) {
 pub struct Wal {
     dev: Box<dyn LogDevice>,
     next_seq: u64,
-    /// Records appended through this handle.
-    pub appended_records: u64,
-    /// Frame bytes appended through this handle.
-    pub appended_bytes: u64,
 }
 
 impl Wal {
@@ -588,26 +577,12 @@ impl Wal {
             dev.truncate_to(report.bytes as usize);
         }
         let next_seq = records.iter().map(|(s, _)| s + 1).max().unwrap_or(0);
-        (
-            Wal {
-                dev,
-                next_seq,
-                appended_records: 0,
-                appended_bytes: 0,
-            },
-            records,
-            report,
-        )
+        (Wal { dev, next_seq }, records, report)
     }
 
     /// A log over an empty (or to-be-ignored) device, starting at `seq`.
     pub fn create(dev: Box<dyn LogDevice>, seq: u64) -> Wal {
-        Wal {
-            dev,
-            next_seq: seq,
-            appended_records: 0,
-            appended_bytes: 0,
-        }
+        Wal { dev, next_seq: seq }
     }
 
     /// Journal one record. Returns its sequence number and the framed
@@ -617,8 +592,6 @@ impl Wal {
         self.next_seq += 1;
         let frame = encode_frame(seq, &rec.encode());
         self.dev.append(&frame);
-        self.appended_records += 1;
-        self.appended_bytes += frame.len() as u64;
         (seq, frame)
     }
 
@@ -634,11 +607,22 @@ impl Wal {
         let rec = WalRecord::decode_shared(&payload)?;
         if seq >= self.next_seq {
             self.dev.append(frame);
-            self.appended_records += 1;
-            self.appended_bytes += frame.len() as u64;
             self.next_seq = seq + 1;
         }
         Ok((seq, rec))
+    }
+
+    /// Adopt a published journal: append `segment` (whole frames, read
+    /// back from another log with [`Wal::contents`]) by reference where
+    /// the device allows, and continue numbering at `next_seq`.
+    pub fn mount(&mut self, segment: &Bytes, next_seq: u64) {
+        self.dev.append_shared(segment);
+        self.next_seq = self.next_seq.max(next_seq);
+    }
+
+    /// Every byte on the device.
+    pub fn contents(&self) -> Vec<u8> {
+        self.dev.read_all()
     }
 
     /// The next sequence number this log will assign.

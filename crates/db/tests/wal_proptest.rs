@@ -4,10 +4,10 @@
 //! yields a strict prefix of the good records and never panics.
 
 use bytes::Bytes;
-use mits_db::{crc32, read_frames, SharedLogDevice, Wal, WalRecord};
+use mits_db::{read_frames, SharedLogDevice, Wal, WalRecord};
 use mits_media::{MediaFormat, MediaId, MediaObject, VideoDims};
 use mits_mheg::{ClassLibrary, GenericValue, MhegId, MhegObject};
-use mits_sim::SimDuration;
+use mits_sim::{crc32, SimDuration};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = GenericValue> {

@@ -12,6 +12,8 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time.
 //! * [`EventQueue`] — a hierarchical timing-wheel future event list with
 //!   deterministic FIFO tie-breaking for simultaneous events.
+//! * [`crc`] — the runtime-dispatched CRC-32 kernel shared by AAL5 and
+//!   the database write-ahead log.
 //! * [`Payload`] — a zero-copy shared byte buffer (`Arc<[u8]>` + range)
 //!   cloned by reference-count bump, used for every media payload.
 //! * [`Simulation`] — an executor that owns a mutable world `W` and runs
@@ -58,6 +60,7 @@
 //! assert_eq!(end, SimTime::from_millis(9));
 //! ```
 
+pub mod crc;
 pub mod event;
 pub mod forensics;
 pub mod payload;
@@ -72,6 +75,7 @@ pub mod time;
 pub mod timeline;
 pub mod trace;
 
+pub use crc::crc32;
 pub use event::{EventQueue, Scheduler, Simulation};
 pub use forensics::{
     ChainLink, FaultWindow, FlightEvent, FlightKind, FlightRecorder, ForensicBundle, ForensicInput,
