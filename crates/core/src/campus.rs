@@ -14,8 +14,8 @@
 //!   a compact [`SessionSpec`] (index + derived seed) until a worker
 //!   admits it through the [`Campus::max_concurrent`] admission window,
 //!   builds its `MitsSystem`, runs the fetches, and retires it. Retiring
-//!   folds the session's digest, metrics snapshot and (if sampled) trace
-//!   into per-batch accumulators and frees the whole per-student world.
+//!   folds the session's digest, metrics and (if sampled) trace into
+//!   per-batch accumulators and frees the whole per-student world.
 //! * **Work-stealing batch queue** — student indices are grouped into
 //!   contiguous batches; each worker starts with its own span of batches
 //!   and steals from the most-loaded peer when it runs dry, so a straggler
@@ -43,10 +43,11 @@
 //! an admission window of 1 or of the whole population. Host wall-clock
 //! is reported for throughput numbers but never folded into a digest.
 //!
-//! Telemetry scales the same way it did before the redesign: every
-//! session freezes its [`MetricsRegistry`](mits_sim::MetricsRegistry)
-//! into a [`MetricsSnapshot`] (counters add, histograms merge, gauges
-//! keep the latest virtual stamp), traces are sampled Dapper-style
+//! Telemetry scales the same way: every session's
+//! [`MetricsRegistry`](mits_sim::MetricsRegistry) folds straight into its
+//! batch's [`MetricsSnapshot`] ([`MetricsSnapshot::merge_registry`]:
+//! counters add, histograms merge, gauges keep the latest virtual
+//! stamp) without being frozen on its own, traces are sampled Dapper-style
 //! ([`TraceSampler`] head lottery plus always-keep tails for degraded /
 //! failed-over / slow / failed sessions), and the merged snapshot is
 //! judged against declarative SLOs ([`default_campus_slos`]).
@@ -203,7 +204,7 @@ pub struct CampusRollup {
     pub sessions_failed: u64,
     /// Host wall-clock for the whole campus run.
     pub wall_secs: f64,
-    /// Every session's metrics snapshot folded in student-index order.
+    /// Every session's metrics folded in student-index order.
     pub metrics: MetricsSnapshot,
     /// Default campus SLOs judged against the merged snapshot.
     pub slo: SloReport,
@@ -252,7 +253,7 @@ pub struct CampusReport {
     pub sessions_anomalous: u64,
     /// Host wall-clock for the whole campus run.
     pub wall_secs: f64,
-    /// Every session's metrics snapshot folded in student-index order:
+    /// Every session's metrics folded in student-index order:
     /// counters add, histograms merge, gauges keep the latest virtual
     /// stamp. Byte-identical across thread counts.
     pub metrics: MetricsSnapshot,
@@ -890,6 +891,7 @@ impl Campus {
                                 &config,
                                 tl_window,
                                 std::mem::take(&mut scratch),
+                                &mut out.snapshot,
                                 None,
                             )
                         });
@@ -1070,6 +1072,7 @@ impl Campus {
             &config,
             self.timeline_window,
             SessionScratch::default(),
+            &mut MetricsSnapshot::new(),
             Some(&mut observe),
         )?;
         let report = outcome.report;
@@ -1204,7 +1207,6 @@ impl CourseImages {
 /// What one retired session hands to the merge.
 struct SessionOutcome {
     report: SessionReport,
-    snapshot: MetricsSnapshot,
     trace: Option<ShardTrace>,
     timeline: Timeline,
     tail: Option<SessionTail>,
@@ -1231,7 +1233,6 @@ impl BatchOut {
     }
 
     fn push(&mut self, outcome: SessionOutcome) {
-        self.snapshot.merge(&outcome.snapshot);
         self.timeline.merge(&outcome.timeline);
         if let Some(t) = outcome.trace {
             self.traces.push(t);
@@ -1397,6 +1398,8 @@ fn run_session(
     config: &SystemConfig,
     tl_window: SimDuration,
     scratch: SessionScratch,
+    // The batch's metrics, which the session's registry folds into.
+    rollup: &mut MetricsSnapshot,
     // Called with the live system just before teardown — replay uses it
     // to harvest the weathermap and route. The campus path passes None.
     observe: Option<&mut dyn FnMut(&MitsSystem)>,
@@ -1460,9 +1463,10 @@ fn run_session(
     digest = fnv_fold(digest, sys.db().state_digest());
     layers.record("db_state", digest);
 
-    // Telemetry: freeze this session's registry (stamped at the final
+    // Telemetry: refresh this session's registry (stamped at the final
     // virtual instant) with the campus-level session counters the SLO
-    // layer reads from the merged rollup.
+    // layer reads from the merged rollup. The registry folds straight
+    // into the batch's metrics when the session retires.
     sys.export_metrics();
     let degraded = sys.client_metrics(student_id).tail_sample_signal() || failed;
     let failed_over = sys.failovers > 0;
@@ -1505,7 +1509,6 @@ fn run_session(
     );
     sys.metrics
         .counter_set("campus.traces_sampled", u64::from(sampled.is_some()));
-    let snapshot = sys.metrics.snapshot();
     let trace = sampled.map(|reason| ShardTrace {
         student: spec.student,
         seed: spec.seed,
@@ -1546,11 +1549,12 @@ fn run_session(
     if let Some(observe) = observe {
         observe(&sys);
     }
+    // Fold the registry before teardown recycles it for the next session.
+    rollup.merge_registry(&sys.metrics);
     let scratch = sys.into_scratch();
     Ok((
         SessionOutcome {
             report,
-            snapshot,
             trace,
             timeline,
             tail,

@@ -350,13 +350,15 @@ pub struct CourseImage {
 }
 
 /// Reusable allocation capacity carried from one retired [`MitsSystem`]
-/// to the next one a campus worker admits. Today this is the network's
-/// recycled containers (timer heap, cell slab, delivery buffer, VC and
-/// topology tables — see [`mits_atm::NetScratch`]); the wrapper exists so
-/// further layers can join without touching the campus runner.
+/// to the next one a campus worker admits: the network's recycled
+/// containers (timer heap, cell slab, delivery buffer, VC and topology
+/// tables — see [`mits_atm::NetScratch`]) and the emptied metrics
+/// registry, whose names the next export rewrites in place (see
+/// [`MetricsRegistry::recycle`]).
 #[derive(Default)]
 pub struct SessionScratch {
     net: NetScratch,
+    metrics: Option<MetricsRegistry>,
 }
 
 impl MitsSystem {
@@ -370,6 +372,7 @@ impl MitsSystem {
     pub fn into_scratch(self) -> SessionScratch {
         SessionScratch {
             net: self.net.into_scratch(),
+            metrics: self.metrics.recycle(),
         }
     }
 
@@ -540,7 +543,7 @@ impl MitsSystem {
             failovers: 0,
             last_recovery: None,
             tracer,
-            metrics: MetricsRegistry::new(),
+            metrics: scratch.metrics.unwrap_or_default(),
             flight,
             resp_meta: BTreeMap::new(),
         })
@@ -1911,6 +1914,29 @@ mod tests {
         let (objs, fetch_time) = sys.fetch_courseware(ClientId(0), root).unwrap();
         assert_eq!(objs.len(), objects.len());
         assert!(fetch_time > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn recycled_scratch_builds_an_observably_fresh_registry() {
+        let (objects, media, root) = tiny_course();
+        let session = |sys: &mut MitsSystem| {
+            sys.load_directly(objects.clone(), media.clone());
+            sys.fetch_courseware(ClientId(0), root).unwrap();
+            sys.export_metrics();
+            sys.metrics.to_json()
+        };
+        let mut fresh = MitsSystem::build(&SystemConfig::broadband(1)).unwrap();
+        let want = session(&mut fresh);
+        // The retired system wrote more names (two clients, a replica).
+        let mut old = MitsSystem::build(&SystemConfig::broadband(2).with_replica()).unwrap();
+        session(&mut old);
+        let config = SystemConfig::broadband(1);
+        let mut reused = MitsSystem::build_with_scratch(&config, old.into_scratch()).unwrap();
+        assert!(
+            reused.metrics.is_empty(),
+            "a recycled registry starts empty"
+        );
+        assert_eq!(session(&mut reused), want);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use forensics::{
 pub use payload::Payload;
 pub use profile::{classify_layer, profile_spans, profile_tracer, LayerTotal, NameTotal, Profile};
 pub use queue::{BoundedQueue, DropPolicy, TokenBucket};
-pub use registry::{MetricValue, MetricsRegistry, MetricsSnapshot, SnapshotValue};
+pub use registry::{MetricsRegistry, MetricsSnapshot, SnapshotValue};
 pub use replay::{derive_seed, DigestTrace, Divergence, ReplayBundle};
 pub use rng::SimRng;
 pub use slo::{Slo, SloInput, SloKind, SloOutcome, SloReport, Verdict};

@@ -7,7 +7,11 @@
 //! `atm.link.client0->switch.drops` or `db.server0.wal.bytes_journaled`
 //! — and two deterministic exporters: an aligned text snapshot for the
 //! bench tables and a JSON object for machine consumption. Names are
-//! stored in a `BTreeMap`, so export order is sorted and byte-stable.
+//! stored in a `BTreeMap`, so export order is sorted and byte-stable,
+//! as shared `Arc<str>`s: a registry allocates a name once, rewrites
+//! it in place on every later export (also after
+//! [`MetricsRegistry::recycle`] hands it to the next session), and
+//! snapshots share it.
 //!
 //! Counters are monotonic `u64`s, gauges are instantaneous `f64`s, and
 //! histograms reuse [`Histogram`] from the stats module (exported as
@@ -22,7 +26,9 @@
 //! take the value with the latest virtual timestamp (stamped from the
 //! registry clock set via [`MetricsRegistry::set_clock`]). Merging in
 //! shard-index order makes the rollup byte-identical regardless of how
-//! many worker threads ran the shards.
+//! many worker threads ran the shards. A live registry can also be
+//! folded in directly ([`MetricsSnapshot::merge_registry`]), which is
+//! how the campus rolls up sessions without freezing each one.
 
 use crate::stats::{Exemplar, Histogram};
 use crate::time::SimTime;
@@ -31,26 +37,67 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// One named metric's value.
-#[derive(Debug, Clone)]
-pub enum MetricValue {
-    /// Monotonic event count.
-    Counter(u64),
-    /// Instantaneous measurement.
-    Gauge(f64),
-    /// Distribution of samples.
-    Histogram(Histogram),
+/// Named entries, sorted by name. A name is allocated once, when a
+/// registry first writes it; snapshots and merges share it by reference
+/// count instead of copying it.
+type Entries = BTreeMap<Arc<str>, SnapshotValue>;
+
+/// A registry entry and the generation that last wrote it.
+struct Slot {
+    generation: u64,
+    value: SnapshotValue,
 }
 
 #[derive(Default)]
 struct RegistryInner {
-    map: BTreeMap<String, MetricValue>,
-    /// Virtual set-time per gauge (absent entries were stamped at the
-    /// clock's default, `SimTime::ZERO`).
-    gauge_at: BTreeMap<String, SimTime>,
+    /// Entries stored as a snapshot holds them (gauges carry their
+    /// stamp). Only slots of the current `generation` are visible; older
+    /// ones are the names a recycled registry keeps allocated (see
+    /// [`MetricsRegistry::recycle`]).
+    map: BTreeMap<Arc<str>, Slot>,
+    generation: u64,
     /// Stamp applied to gauge writes; layers that export at a known
     /// virtual instant call [`MetricsRegistry::set_clock`] first.
     clock: SimTime,
+}
+
+impl RegistryInner {
+    fn get(&self, name: &str) -> Option<&SnapshotValue> {
+        self.map
+            .get(name)
+            .filter(|s| s.generation == self.generation)
+            .map(|s| &s.value)
+    }
+
+    fn get_mut(&mut self, name: &str) -> Option<&mut SnapshotValue> {
+        let generation = self.generation;
+        self.map
+            .get_mut(name)
+            .filter(|s| s.generation == generation)
+            .map(|s| &mut s.value)
+    }
+
+    /// The visible entries, sorted by name.
+    fn entries(&self) -> impl Iterator<Item = (&Arc<str>, &SnapshotValue)> {
+        self.map
+            .iter()
+            .filter(|(_, s)| s.generation == self.generation)
+            .map(|(k, s)| (k, &s.value))
+    }
+
+    /// Overwrite `name` in place, allocating the name only if it is new.
+    fn set(&mut self, name: &str, value: SnapshotValue) {
+        let slot = Slot {
+            generation: self.generation,
+            value,
+        };
+        match self.map.get_mut(name) {
+            Some(s) => *s = slot,
+            None => {
+                self.map.insert(Arc::from(name), slot);
+            }
+        }
+    }
 }
 
 /// A shared, cloneable registry of named metrics. Clones view the same
@@ -78,30 +125,23 @@ impl MetricsRegistry {
     /// `name` exists with a different type it becomes a counter.
     pub fn inc(&self, name: &str, by: u64) {
         let mut inner = self.inner.lock();
-        let v = match inner.map.get(name) {
-            Some(MetricValue::Counter(c)) => c + by,
-            _ => by,
-        };
-        inner.map.insert(name.to_string(), MetricValue::Counter(v));
+        match inner.get_mut(name) {
+            Some(SnapshotValue::Counter(c)) => *c += by,
+            _ => inner.set(name, SnapshotValue::Counter(by)),
+        }
     }
 
     /// Set the counter `name` to an absolute value (for layers that
     /// already maintain their own totals and snapshot them at export).
     pub fn counter_set(&self, name: &str, value: u64) {
-        self.inner
-            .lock()
-            .map
-            .insert(name.to_string(), MetricValue::Counter(value));
+        self.inner.lock().set(name, SnapshotValue::Counter(value));
     }
 
     /// Set the gauge `name`, stamped with the registry clock.
     pub fn gauge_set(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock();
         let at = inner.clock;
-        inner
-            .map
-            .insert(name.to_string(), MetricValue::Gauge(value));
-        inner.gauge_at.insert(name.to_string(), at);
+        inner.set(name, SnapshotValue::Gauge { at, value });
     }
 
     /// Record one sample into the histogram `name`, creating it with
@@ -109,14 +149,12 @@ impl MetricsRegistry {
     /// non-histogram entry is replaced.
     pub fn observe(&self, name: &str, x: f64, lo: f64, hi: f64, bins: usize) {
         let mut inner = self.inner.lock();
-        match inner.map.get_mut(name) {
-            Some(MetricValue::Histogram(h)) => h.record(x),
+        match inner.get_mut(name) {
+            Some(SnapshotValue::Histogram(h)) => h.record(x),
             _ => {
                 let mut h = Histogram::new(lo, hi, bins);
                 h.record(x);
-                inner
-                    .map
-                    .insert(name.to_string(), MetricValue::Histogram(h));
+                inner.set(name, SnapshotValue::Histogram(h));
             }
         }
     }
@@ -145,14 +183,12 @@ impl MetricsRegistry {
             at,
         };
         let mut inner = self.inner.lock();
-        match inner.map.get_mut(name) {
-            Some(MetricValue::Histogram(h)) => h.record_exemplar(x, ex),
+        match inner.get_mut(name) {
+            Some(SnapshotValue::Histogram(h)) => h.record_exemplar(x, ex),
             _ => {
                 let mut h = Histogram::new(lo, hi, bins);
                 h.record_exemplar(x, ex);
-                inner
-                    .map
-                    .insert(name.to_string(), MetricValue::Histogram(h));
+                inner.set(name, SnapshotValue::Histogram(h));
             }
         }
     }
@@ -162,60 +198,70 @@ impl MetricsRegistry {
     pub fn record_histogram(&self, name: &str, h: &Histogram) {
         self.inner
             .lock()
-            .map
-            .insert(name.to_string(), MetricValue::Histogram(h.clone()));
+            .set(name, SnapshotValue::Histogram(h.clone()));
     }
 
     /// Current value of the counter `name`, if it is a counter.
     pub fn get_counter(&self, name: &str) -> Option<u64> {
-        match self.inner.lock().map.get(name) {
-            Some(MetricValue::Counter(c)) => Some(*c),
+        match self.inner.lock().get(name) {
+            Some(SnapshotValue::Counter(c)) => Some(*c),
             _ => None,
         }
     }
 
     /// Current value of the gauge `name`, if it is a gauge.
     pub fn get_gauge(&self, name: &str) -> Option<f64> {
-        match self.inner.lock().map.get(name) {
-            Some(MetricValue::Gauge(g)) => Some(*g),
+        match self.inner.lock().get(name) {
+            Some(SnapshotValue::Gauge { value, .. }) => Some(*value),
             _ => None,
         }
     }
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().entries().count()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().map.is_empty()
+        self.inner.lock().entries().next().is_none()
     }
 
     /// All metric names, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.inner.lock().map.keys().cloned().collect()
+        self.inner
+            .lock()
+            .entries()
+            .map(|(k, _)| k.to_string())
+            .collect()
     }
 
-    /// Freeze the registry into an owned, mergeable snapshot.
+    /// Freeze the registry into an owned, mergeable snapshot. Names are
+    /// shared with the registry, not copied.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
-        let entries = inner
-            .map
-            .iter()
-            .map(|(name, v)| {
-                let e = match v {
-                    MetricValue::Counter(c) => SnapshotValue::Counter(*c),
-                    MetricValue::Gauge(g) => SnapshotValue::Gauge {
-                        at: inner.gauge_at.get(name).copied().unwrap_or(SimTime::ZERO),
-                        value: *g,
-                    },
-                    MetricValue::Histogram(h) => SnapshotValue::Histogram(h.clone()),
-                };
-                (name.clone(), e)
-            })
-            .collect();
-        MetricsSnapshot { entries }
+        MetricsSnapshot {
+            entries: self
+                .inner
+                .lock()
+                .entries()
+                .map(|(k, v)| (Arc::clone(k), v.clone()))
+                .collect(),
+        }
+    }
+
+    /// Retire this registry for reuse by the next one: the registry
+    /// returned is empty to every reader and its clock is back at zero,
+    /// but it keeps the names written since it was last recycled, so
+    /// writing one again updates it in place instead of allocating.
+    /// `None` when another handle still shares the registry, since
+    /// emptying it would change what that handle sees.
+    pub fn recycle(mut self) -> Option<MetricsRegistry> {
+        let inner = Arc::get_mut(&mut self.inner)?.get_mut();
+        let generation = inner.generation;
+        inner.map.retain(|_, s| s.generation == generation);
+        inner.generation += 1;
+        inner.clock = SimTime::ZERO;
+        Some(self)
     }
 
     /// Aligned text snapshot, one metric per line, names sorted.
@@ -232,7 +278,8 @@ impl MetricsRegistry {
     }
 }
 
-/// One entry of a frozen [`MetricsSnapshot`].
+/// One named metric: an entry of a [`MetricsRegistry`] and of a frozen
+/// [`MetricsSnapshot`] alike.
 #[derive(Debug, Clone)]
 pub enum SnapshotValue {
     /// Monotonic count — merges by addition.
@@ -252,11 +299,11 @@ pub enum SnapshotValue {
 }
 
 /// An owned, mergeable freeze of a [`MetricsRegistry`]. The campus
-/// runner collects one per shard and folds them, in shard-index order,
-/// into the rollup reported for the whole student population.
+/// runner folds every session's registry, in student-index order, into
+/// the rollup reported for the whole student population.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    entries: BTreeMap<String, SnapshotValue>,
+    entries: Entries,
 }
 
 impl MetricsSnapshot {
@@ -306,46 +353,29 @@ impl MetricsSnapshot {
 
     /// All metric names, sorted.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
+        self.entries.keys().map(|k| &**k)
     }
 
     /// Merge `other` into this snapshot: counters add, histograms merge,
     /// gauges keep the later virtual stamp (`other` wins ties). A name
-    /// present on only one side is kept as-is; a name whose kind differs
-    /// between the two sides takes `other`'s entry (last writer wins,
-    /// mirroring the registry's own type-coercion rule).
+    /// present on only one side is kept as-is; a name whose kind or
+    /// histogram geometry differs between the two sides takes `other`'s
+    /// entry (last writer wins, mirroring the registry's own
+    /// type-coercion rule), so a conflicting registration never panics.
     ///
-    /// The operation is associative, so folding shard snapshots in index
-    /// order yields the same rollup regardless of how the shards were
-    /// scheduled across worker threads.
+    /// While every name keeps one kind and one geometry the operation is
+    /// associative, so folding shard snapshots in index order yields the
+    /// same rollup regardless of how the shards were scheduled across
+    /// worker threads. A conflict resolves by fold order instead.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, theirs) in &other.entries {
-            match (self.entries.get_mut(name), theirs) {
-                (Some(SnapshotValue::Counter(a)), SnapshotValue::Counter(b)) => *a += b,
-                (
-                    Some(SnapshotValue::Gauge { at, value }),
-                    SnapshotValue::Gauge {
-                        at: at_b,
-                        value: value_b,
-                    },
-                ) => {
-                    if *at_b >= *at {
-                        *at = *at_b;
-                        *value = *value_b;
-                    }
-                }
-                (Some(SnapshotValue::Histogram(a)), SnapshotValue::Histogram(b)) => a.merge(b),
-                (entry, theirs) => {
-                    let theirs = theirs.clone();
-                    match entry {
-                        Some(e) => *e = theirs,
-                        None => {
-                            self.entries.insert(name.clone(), theirs);
-                        }
-                    }
-                }
-            }
-        }
+        merge_entries(&mut self.entries, other.entries.iter());
+    }
+
+    /// Fold a live registry in without freezing it first:
+    /// `s.merge_registry(&reg)` leaves `s` exactly as
+    /// `s.merge(&reg.snapshot())` would, sharing `reg`'s names.
+    pub fn merge_registry(&mut self, reg: &MetricsRegistry) {
+        merge_entries(&mut self.entries, reg.inner.lock().entries());
     }
 
     /// Aligned text rendering, one metric per line, names sorted.
@@ -402,6 +432,40 @@ impl MetricsSnapshot {
         }
         out.push('}');
         out
+    }
+}
+
+/// The merge behind [`MetricsSnapshot::merge`] and
+/// [`MetricsSnapshot::merge_registry`].
+fn merge_entries<'a>(
+    ours: &mut Entries,
+    theirs: impl Iterator<Item = (&'a Arc<str>, &'a SnapshotValue)>,
+) {
+    for (name, theirs) in theirs {
+        match (ours.get_mut(&**name), theirs) {
+            (Some(SnapshotValue::Counter(a)), SnapshotValue::Counter(b)) => *a += b,
+            (
+                Some(SnapshotValue::Gauge { at, value }),
+                SnapshotValue::Gauge {
+                    at: at_b,
+                    value: value_b,
+                },
+            ) => {
+                if *at_b >= *at {
+                    *at = *at_b;
+                    *value = *value_b;
+                }
+            }
+            (Some(SnapshotValue::Histogram(a)), SnapshotValue::Histogram(b))
+                if a.same_geometry(b) =>
+            {
+                a.merge(b)
+            }
+            (Some(e), theirs) => *e = theirs.clone(),
+            (None, theirs) => {
+                ours.insert(Arc::clone(name), theirs.clone());
+            }
+        }
     }
 }
 
@@ -542,6 +606,84 @@ mod tests {
         assert_eq!(left.to_json(), right.to_json());
         assert_eq!(left.counter("c"), Some(6));
         assert_eq!(left.gauge("g"), Some(2.0), "latest stamp (t=3) wins");
+    }
+
+    #[test]
+    fn merge_registry_equals_merging_its_snapshot() {
+        let base = MetricsRegistry::new();
+        base.set_clock(SimTime::from_secs(2));
+        base.inc("c", 1);
+        base.gauge_set("g", 1.0);
+        base.observe_exemplar("h", 3.0, 0.0, 10.0, 10, 1, 1, SimTime::ZERO);
+        base.observe("only_base", 1.0, 0.0, 1.0, 2);
+        let reg = MetricsRegistry::new();
+        reg.set_clock(SimTime::from_secs(5));
+        reg.inc("c", 2);
+        reg.gauge_set("g", 9.0);
+        reg.observe_exemplar("h", 7.5, 0.0, 10.0, 10, 2, 4, SimTime::from_secs(5));
+        reg.observe_exemplar("h", 3.1, 0.0, 10.0, 10, 3, 4, SimTime::from_secs(5));
+        reg.inc("only_reg", 4);
+        for start in [MetricsSnapshot::new(), base.snapshot()] {
+            let mut via_snapshot = start.clone();
+            via_snapshot.merge(&reg.snapshot());
+            let mut direct = start;
+            direct.merge_registry(&reg);
+            assert_eq!(format!("{direct:?}"), format!("{via_snapshot:?}"));
+        }
+        // The fold leaves the registry itself untouched.
+        assert_eq!(reg.get_counter("c"), Some(2));
+    }
+
+    #[test]
+    fn recycled_registry_is_observably_fresh() {
+        let used = MetricsRegistry::new();
+        used.set_clock(SimTime::from_secs(9));
+        used.inc("c", 5);
+        used.gauge_set("g", 1.0);
+        used.observe("h", 1.0, 0.0, 10.0, 10);
+        used.inc("only_used", 1);
+        assert!(used.clone().recycle().is_none(), "a shared registry stays");
+        let reg = used.recycle().expect("sole handle");
+        assert!(reg.is_empty());
+        assert_eq!(reg.len(), 0);
+        assert!(reg.names().is_empty());
+        assert_eq!(reg.get_counter("c"), None);
+        assert_eq!(reg.to_json(), "{}");
+        let fresh = MetricsRegistry::new();
+        for r in [&reg, &fresh] {
+            r.inc("c", 2);
+            r.gauge_set("g", 3.0);
+            r.observe("h", 4.0, 0.0, 10.0, 10);
+        }
+        assert_eq!(
+            format!("{:?}", reg.snapshot()),
+            format!("{:?}", fresh.snapshot())
+        );
+        let (mut a, mut b) = (MetricsSnapshot::new(), MetricsSnapshot::new());
+        a.merge_registry(&reg);
+        b.merge_registry(&fresh);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn histogram_geometry_mismatch_takes_the_merged_in_entry() {
+        let a = MetricsRegistry::new();
+        a.observe("lat", 1.0, 0.0, 10.0, 10);
+        let b = MetricsRegistry::new();
+        b.observe("lat", 2.0, 0.0, 60.0, 600);
+        b.observe("lat", 3.0, 0.0, 60.0, 600);
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        let h = merged.histogram("lat").unwrap();
+        assert_eq!((h.count(), h.num_bins()), (2, 600));
+        let mut folded = a.snapshot();
+        folded.merge_registry(&b);
+        assert_eq!(format!("{folded:?}"), format!("{merged:?}"));
+        // The other way round, `a`'s geometry wins.
+        let mut back = b.snapshot();
+        back.merge_registry(&a);
+        let h = back.histogram("lat").unwrap();
+        assert_eq!((h.count(), h.num_bins()), (1, 10));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The MITS evaluation reports latencies, jitter, loss ratios, waiting-time
 //! distributions and bandwidth usage. These collectors accumulate samples in
-//! O(1) memory (except the histogram, which is fixed-size) so multi-million
-//! cell simulations stay cheap.
+//! O(1) memory (except the histogram, which grows with its occupied bins)
+//! so multi-million cell simulations stay cheap.
 
 use serde::{Deserialize, Serialize};
 
@@ -138,6 +138,12 @@ impl Exemplar {
 /// Fixed-bin histogram over [lo, hi) with overflow/underflow buckets and
 /// percentile queries. Used for waiting-time and jitter distributions.
 ///
+/// Storage is sparse: only occupied bins are kept, as `(index, count)`
+/// pairs sorted by index, so a 6,000-bin latency histogram holding two
+/// samples costs two entries to allocate, clone and merge. The geometry
+/// (`lo`, `hi`, bin count) still defines which bin a sample lands in,
+/// and every query answers exactly as a dense array of all bins would.
+///
 /// A histogram may optionally carry an [`Exemplar`] per bucket
 /// (including the under/overflow buckets); exemplar selection and
 /// merging are deterministic, so an exemplar-carrying histogram keeps
@@ -146,13 +152,15 @@ impl Exemplar {
 pub struct Histogram {
     lo: f64,
     hi: f64,
-    bins: Vec<u64>,
+    num_bins: usize,
+    /// Occupied bins as `(index, count)`, sorted by index, counts > 0.
+    bins: Vec<(usize, u64)>,
     underflow: u64,
     overflow: u64,
     count: u64,
-    /// Empty when exemplars are disabled; `bins.len() + 2` slots when
-    /// enabled (slot 0 = underflow, `1..=bins`, last = overflow).
-    exemplars: Vec<Option<Exemplar>>,
+    /// Occupied exemplar slots as `(slot, exemplar)`, sorted by slot
+    /// (slot 0 = underflow, `1..=num_bins` = bins, last = overflow).
+    exemplars: Vec<(usize, Exemplar)>,
 }
 
 impl Histogram {
@@ -166,12 +174,23 @@ impl Histogram {
         Histogram {
             lo,
             hi,
-            bins: vec![0; bins],
+            num_bins: bins,
+            bins: Vec::new(),
             underflow: 0,
             overflow: 0,
             count: 0,
             exemplars: Vec::new(),
         }
+    }
+
+    fn width(&self) -> f64 {
+        (self.hi - self.lo) / self.num_bins as f64
+    }
+
+    /// Bin index of an in-range sample (NaN lands in bin 0).
+    fn bin_index(&self, x: f64) -> usize {
+        // Guard against floating error landing exactly on num_bins.
+        (((x - self.lo) / self.width()) as usize).min(self.num_bins - 1)
     }
 
     /// Exemplar slot index for sample `x`: 0 for underflow, then one
@@ -180,11 +199,9 @@ impl Histogram {
         if x < self.lo {
             0
         } else if x >= self.hi {
-            self.bins.len() + 1
+            self.num_bins + 1
         } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            idx + 1
+            self.bin_index(x) + 1
         }
     }
 
@@ -195,28 +212,27 @@ impl Histogram {
     /// merges associatively.
     pub fn record_exemplar(&mut self, x: f64, ex: Exemplar) {
         self.record(x);
-        if self.exemplars.is_empty() {
-            self.exemplars = vec![None; self.bins.len() + 2];
-        }
         let slot = self.exemplar_slot(x);
-        Self::join_exemplar(&mut self.exemplars[slot], &ex);
+        match self.exemplars.binary_search_by_key(&slot, |e| e.0) {
+            Ok(i) => Self::join_exemplar(&mut self.exemplars[i].1, &ex),
+            Err(i) => self.exemplars.insert(i, (slot, ex)),
+        }
     }
 
-    fn join_exemplar(slot: &mut Option<Exemplar>, cand: &Exemplar) {
-        match slot {
-            Some(cur) if !cand.beats(cur) => {}
-            _ => *slot = Some(*cand),
+    fn join_exemplar(cur: &mut Exemplar, cand: &Exemplar) {
+        if cand.beats(cur) {
+            *cur = *cand;
         }
     }
 
     /// Whether any bucket carries an exemplar.
     pub fn has_exemplars(&self) -> bool {
-        self.exemplars.iter().any(Option::is_some)
+        !self.exemplars.is_empty()
     }
 
     /// Present exemplars, in bucket order (underflow, bins, overflow).
     pub fn exemplars(&self) -> impl Iterator<Item = &Exemplar> {
-        self.exemplars.iter().flatten()
+        self.exemplars.iter().map(|(_, e)| e)
     }
 
     /// Record a sample.
@@ -227,11 +243,11 @@ impl Histogram {
         } else if x >= self.hi {
             self.overflow += 1;
         } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            // Guard against floating error landing exactly on len().
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
+            let idx = self.bin_index(x);
+            match self.bins.binary_search_by_key(&idx, |b| b.0) {
+                Ok(i) => self.bins[i].1 += 1,
+                Err(i) => self.bins.insert(i, (idx, 1)),
+            }
         }
     }
 
@@ -250,9 +266,15 @@ impl Histogram {
         self.overflow
     }
 
-    /// Bin contents.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
+    /// Number of bins the range `[lo, hi)` is divided into.
+    pub fn num_bins(&self) -> usize {
+        self.num_bins
+    }
+
+    /// Occupied bins as `(index, count)` in index order; every bin not
+    /// listed holds zero samples.
+    pub fn occupied_bins(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.bins.iter().copied()
     }
 
     /// Approximate `q`-quantile by linear interpolation within the
@@ -277,13 +299,13 @@ impl Histogram {
             return None;
         }
         let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
+        let w = self.width();
         if q == 0.0 {
             if self.underflow > 0 {
                 return Some(self.lo);
             }
-            return Some(match self.bins.iter().position(|&b| b > 0) {
-                Some(i) => self.lo + w * i as f64,
+            return Some(match self.bins.first() {
+                Some(&(i, _)) => self.lo + w * i as f64,
                 None => self.hi, // all samples in overflow
             });
         }
@@ -291,8 +313,8 @@ impl Histogram {
             if self.overflow > 0 {
                 return Some(self.hi);
             }
-            return Some(match self.bins.iter().rposition(|&b| b > 0) {
-                Some(i) => self.lo + w * (i + 1) as f64,
+            return Some(match self.bins.last() {
+                Some(&(i, _)) => self.lo + w * (i + 1) as f64,
                 None => self.lo, // all samples in underflow
             });
         }
@@ -301,7 +323,9 @@ impl Histogram {
         if cum >= target {
             return Some(self.lo);
         }
-        for (i, &b) in self.bins.iter().enumerate() {
+        // Empty bins cannot reach the target (cum < target between
+        // steps), so walking only occupied bins visits the same answer.
+        for &(i, b) in &self.bins {
             if cum + b >= target {
                 let within = (target - cum) as f64 / b.max(1) as f64;
                 return Some(self.lo + w * (i as f64 + within));
@@ -316,30 +340,66 @@ impl Histogram {
         self.quantile(0.5)
     }
 
+    /// Whether `other` has the same range and bin count, so the two can
+    /// [`Histogram::merge`].
+    pub(crate) fn same_geometry(&self, other: &Histogram) -> bool {
+        self.lo.to_bits() == other.lo.to_bits()
+            && self.hi.to_bits() == other.hi.to_bits()
+            && self.num_bins == other.num_bins
+    }
+
     /// Merge another histogram with identical geometry.
     ///
     /// # Panics
     /// Panics if the geometries differ.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo.to_bits(), other.lo.to_bits(), "geometry mismatch");
-        assert_eq!(self.hi.to_bits(), other.hi.to_bits(), "geometry mismatch");
-        assert_eq!(self.bins.len(), other.bins.len(), "geometry mismatch");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
+        assert!(self.same_geometry(other), "geometry mismatch");
+        merge_join(&mut self.bins, &other.bins, |a, b| *a += b);
         self.underflow += other.underflow;
         self.overflow += other.overflow;
         self.count += other.count;
-        if !other.exemplars.is_empty() {
-            if self.exemplars.is_empty() {
-                self.exemplars = vec![None; self.bins.len() + 2];
-            }
-            for (slot, theirs) in self.exemplars.iter_mut().zip(&other.exemplars) {
-                if let Some(ex) = theirs {
-                    Self::join_exemplar(slot, ex);
-                }
-            }
+        merge_join(&mut self.exemplars, &other.exemplars, Self::join_exemplar);
+    }
+}
+
+/// Merge-join the sorted, key-unique `theirs` into the sorted,
+/// key-unique `ours`: equal keys combine through `join`, new keys are
+/// inserted in order. One pass joins in place; only when `theirs` brings
+/// new keys does a second pass grow `ours` and merge from the back, so
+/// every entry moves at most once.
+fn merge_join<T: Copy>(
+    ours: &mut Vec<(usize, T)>,
+    theirs: &[(usize, T)],
+    join: impl Fn(&mut T, &T),
+) {
+    let mut fresh = 0;
+    let mut i = 0;
+    for (k, v) in theirs {
+        while i < ours.len() && ours[i].0 < *k {
+            i += 1;
         }
+        match ours.get_mut(i) {
+            Some((ok, ov)) if *ok == *k => join(ov, v),
+            _ => fresh += 1,
+        }
+    }
+    if fresh == 0 {
+        return;
+    }
+    let mut read = ours.len();
+    ours.resize(read + fresh, theirs[0]);
+    let mut write = ours.len();
+    for &(k, v) in theirs.iter().rev() {
+        while read > 0 && ours[read - 1].0 > k {
+            read -= 1;
+            write -= 1;
+            ours[write] = ours[read];
+        }
+        if read > 0 && ours[read - 1].0 == k {
+            continue; // joined in the first pass
+        }
+        write -= 1;
+        ours[write] = (k, v);
     }
 }
 
@@ -505,9 +565,10 @@ mod tests {
         assert_eq!(h.count(), 7);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.bins()[5], 1); // 5.0
-        assert_eq!(h.bins()[9], 1); // 9.99
+        // 0.0 and 0.5 in bin 0, 5.0 in bin 5, 9.99 in bin 9.
+        let bins: Vec<(usize, u64)> = h.occupied_bins().collect();
+        assert_eq!(bins, vec![(0, 2), (5, 1), (9, 1)]);
+        assert_eq!(h.num_bins(), 10);
     }
 
     #[test]
@@ -593,8 +654,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.underflow(), 1);
-        assert_eq!(a.bins()[0], 1);
-        assert_eq!(a.bins()[4], 1);
+        let bins: Vec<(usize, u64)> = a.occupied_bins().collect();
+        assert_eq!(bins, vec![(0, 1), (4, 1)]);
     }
 
     #[test]

@@ -17,11 +17,22 @@ cargo run -q --release -p mits --example observability -- --trace-out "$trace" >
 diff -u tests/golden/observability_trace.jsonl "$trace"
 echo "observability trace matches golden"
 
+# Rollup golden: two seeded campuses (clean, and sharded under a failback
+# storm with cell loss), each at 1 and 2 threads, must reproduce the
+# checked-in digest, merged metrics (JSON and text), SLO verdicts and
+# timeline byte for byte. Thread-count invariance alone would miss a
+# storage or merge change that moves every value alike.
+rollup="$(mktemp)"
+trap 'rm -f "$trace" "$rollup"' EXIT
+cargo run -q --release -p mits --example campus_rollup -- --out "$rollup"
+diff -u tests/golden/campus_rollup.txt "$rollup"
+echo "campus rollup matches golden"
+
 # Campus smoke: a small parallel campus run must produce a well-formed,
 # non-empty BENCH_campus.json (written to a temp path so the checked-in
 # full-size numbers stay put).
 campus_json="$(mktemp)"
-trap 'rm -f "$trace" "$campus_json"' EXIT
+trap 'rm -f "$trace" "$rollup" "$campus_json"' EXIT
 MITS_CAMPUS_STUDENTS=6 MITS_CAMPUS_THREADS=2 MITS_CAMPUS_CLIPS=2 \
   MITS_CAMPUS_OUT="$campus_json" \
   cargo run -q --release -p mits-bench --bin tables -- --exp campus >/dev/null
@@ -44,7 +55,7 @@ echo "campus bench json well-formed"
 # the flame profiler attributes time to, the CRC tiers must all be live,
 # and the train fast path must actually beat the per-cell scheduler.
 media_json="$(mktemp)"
-trap 'rm -f "$trace" "$campus_json" "$media_json"' EXIT
+trap 'rm -f "$trace" "$rollup" "$campus_json" "$media_json"' EXIT
 MITS_MEDIA_OUT="$media_json" \
   cargo run -q --release -p mits-bench --bin tables -- --exp media >/dev/null
 python3 - "$media_json" <<'PY'
@@ -75,7 +86,7 @@ echo "no deprecated campus API usage in-repo"
 # zero breaches (warn tiers are informational; a breach here means the
 # default objectives or the campus telemetry regressed).
 slo_json="$(mktemp)"
-trap 'rm -f "$trace" "$campus_json" "$slo_json"' EXIT
+trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json"' EXIT
 MITS_SLO_STUDENTS=8 MITS_SLO_THREADS=2 MITS_SLO_CLIPS=2 \
   MITS_SLO_OUT="$slo_json" \
   cargo run -q --release -p mits-bench --bin tables -- --exp slo >/dev/null
@@ -97,7 +108,7 @@ echo "slo verdicts valid, zero breaches"
 # deterministically under its seed, and the flash-crowd edge tier must
 # bound origin load by misses + invalidations.
 shards_json="$(mktemp)"
-trap 'rm -f "$trace" "$campus_json" "$slo_json" "$shards_json"' EXIT
+trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json"' EXIT
 MITS_SHARDS=3 MITS_SHARDS_STUDENTS=6 MITS_SHARDS_CLIP_BYTES=100000 \
   MITS_SHARDS_OUT="$shards_json" \
   cargo run -q --release -p mits-bench --bin tables -- --exp shards >/dev/null
@@ -128,7 +139,7 @@ echo "fault-storm smoke passed: blast radius contained, storm deterministic"
 # shard; the calm twin must produce no bundles; the timeline and the
 # bundles must be byte-identical serial vs parallel.
 forensics_json="$(mktemp)"
-trap 'rm -f "$trace" "$campus_json" "$slo_json" "$shards_json" "$forensics_json"' EXIT
+trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json" "$forensics_json"' EXIT
 MITS_FORENSICS_SHARDS=3 MITS_FORENSICS_STUDENTS=6 \
   MITS_FORENSICS_CLIP_BYTES=100000 MITS_FORENSICS_OUT="$forensics_json" \
   cargo run -q --release -p mits-bench --bin tables -- --exp forensics >/dev/null
@@ -168,7 +179,7 @@ echo "forensics smoke passed: bundle names the injected fault, calm twin clean"
 # layer) and the breach reproduction must hold, and the weathermap must
 # parse and cover every hop on the victim's route.
 replay_json="$(mktemp)"
-trap 'rm -f "$trace" "$campus_json" "$slo_json" "$shards_json" "$forensics_json" "$replay_json"' EXIT
+trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json" "$forensics_json" "$replay_json"' EXIT
 MITS_FORENSICS_SHARDS=3 MITS_FORENSICS_STUDENTS=6 \
   MITS_FORENSICS_CLIP_BYTES=100000 MITS_REPLAY_OUT="$replay_json" \
   cargo run -q --release -p mits-bench --bin tables -- --exp replay >/dev/null
@@ -206,7 +217,7 @@ echo "replay smoke passed: victim reproduced under proof, weathermap covers the 
 # is noisy, so the tolerance is deliberately loose; a real regression
 # (like losing the zero-copy path) blows way past it.
 gate_json="$(mktemp)"
-trap 'rm -f "$trace" "$campus_json" "$slo_json" "$shards_json" "$forensics_json" "$replay_json" "$gate_json"' EXIT
+trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json" "$forensics_json" "$replay_json" "$gate_json"' EXIT
 baseline_students="$(python3 -c 'import json;print(json.load(open("BENCH_campus.json"))["students"])')"
 baseline_threads="$(python3 -c 'import json;print(json.load(open("BENCH_campus.json"))["threads"])')"
 baseline_clips="$(python3 -c 'import json;print(json.load(open("BENCH_campus.json"))["clips_per_student"])')"
