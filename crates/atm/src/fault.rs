@@ -89,9 +89,10 @@ impl LinkFaults {
     }
 
     /// True when the only faults here are down windows — the one fault
-    /// kind whose outcome is a pure function of the clock. RNG-coupled
-    /// faults (extra loss, bursts, jitter) consume the fault RNG per
-    /// cell, so batched scheduling could not reproduce their draw order.
+    /// kind whose outcome is a pure function of the clock, so cell
+    /// trains may use the link. RNG-coupled faults (extra loss, bursts,
+    /// jitter) consume the fault RNG per cell, so batched scheduling
+    /// could not reproduce their draw order there.
     pub fn is_down_only(&self) -> bool {
         self.extra_loss == 0.0 && self.burst.is_none() && self.jitter.is_none_or(|j| j.is_zero())
     }
@@ -139,14 +140,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         !self.default.as_ref().is_some_and(LinkFaults::is_active)
             && !self.per_link.values().any(LinkFaults::is_active)
-    }
-
-    /// True when every active fault in the plan is a down window (see
-    /// [`LinkFaults::is_down_only`]) — the condition under which the
-    /// network's cell-train fast path may stay engaged.
-    pub fn is_down_only(&self) -> bool {
-        let entry_ok = |f: &LinkFaults| !f.is_active() || f.is_down_only();
-        self.default.as_ref().is_none_or(entry_ok) && self.per_link.values().all(entry_ok)
     }
 }
 

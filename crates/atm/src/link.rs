@@ -152,7 +152,8 @@ pub struct LinkWindowSample {
     pub window: u64,
     /// Deepest any priority queue got during the window, in cells.
     pub queue_high_water: u64,
-    /// Microseconds of serialization attributed to this window's cells.
+    /// Microseconds of serialization of the cells that started
+    /// serializing in this window.
     pub busy_us: u64,
     /// Cells served as whole trains.
     pub cells_trained: u64,
@@ -183,17 +184,21 @@ pub struct LinkTelemetry {
 }
 
 impl LinkTelemetry {
-    /// Record one serve observation at `now`. `cells` is how many cells
-    /// the observation covers, `queue_cells` the queue depth at the
-    /// sample instant, `busy` the serialization time attributed to the
-    /// batch, and `faulted` whether an injected fault window is open.
+    /// Record `cells` cells served in mode `kind` at `now`. They
+    /// serialize back to back, cell k from `now + k·cell_time`, and each
+    /// cell's busy time and count land in the window it starts in, as
+    /// one note per cell would book them; a whole train thus costs
+    /// O(windows it spans). Parked cells are not serializing yet: pass a
+    /// zero `cell_time` and they all land in `now`'s window with no busy
+    /// time. `queue_cells` (queue depth) and `faulted` (an injected
+    /// fault window is open) are samples at `now`.
     pub fn note(
         &mut self,
         now: SimTime,
         kind: ServeKind,
         cells: u64,
         queue_cells: u64,
-        busy: SimDuration,
+        cell_time: SimDuration,
         faulted: bool,
     ) {
         match kind {
@@ -201,37 +206,74 @@ impl LinkTelemetry {
             ServeKind::PerCell => self.total_per_cell += cells,
             ServeKind::Parked => self.total_parked += cells,
         }
-        let window = now.as_micros() / TELEMETRY_WINDOW_US;
-        let cur = match self.cur.as_mut() {
-            Some(c) if c.window == window => c,
-            _ => {
-                self.flush();
-                self.cur.insert(LinkWindowSample {
-                    window,
-                    ..LinkWindowSample::default()
-                })
+        let (start, ct) = (now.as_micros(), cell_time.as_micros());
+        let mut booked = 0;
+        loop {
+            let window = (start + booked * ct) / TELEMETRY_WINDOW_US;
+            // Cells k ≥ booked that start before the next window opens:
+            // at least one while any remain, since cell `booked` does.
+            let next = (window + 1) * TELEMETRY_WINDOW_US;
+            let here = match ct {
+                0 => cells - booked,
+                _ => (next - start).div_ceil(ct).min(cells) - booked,
+            };
+            let first = booked == 0;
+            self.update(window, |w| {
+                if first {
+                    w.queue_high_water = w.queue_high_water.max(queue_cells);
+                    w.faulted |= faulted;
+                }
+                w.busy_us += here * ct;
+                match kind {
+                    ServeKind::Trained => w.cells_trained += here,
+                    ServeKind::PerCell => w.cells_per_cell += here,
+                    ServeKind::Parked => w.cells_parked += here,
+                }
+            });
+            booked += here;
+            if booked >= cells {
+                return;
             }
-        };
-        cur.queue_high_water = cur.queue_high_water.max(queue_cells);
-        cur.busy_us += busy.as_micros();
-        cur.faulted |= faulted;
-        match kind {
-            ServeKind::Trained => cur.cells_trained += cells,
-            ServeKind::PerCell => cur.cells_per_cell += cells,
-            ServeKind::Parked => cur.cells_parked += cells,
         }
     }
 
-    /// Push the in-progress window (if any) into the ring, evicting the
-    /// oldest sample when full.
-    fn flush(&mut self) {
-        if let Some(c) = self.cur.take() {
-            if self.ring.len() == TELEMETRY_RING_CAP {
-                self.ring.remove(0);
-                self.dropped_windows += 1;
+    /// Apply `f` to the sample of `window`, creating it if needed. Notes
+    /// usually arrive in time order, but a run parked while a train is
+    /// still serializing is noted behind the windows the train already
+    /// booked ahead; it lands in its own window, kept in order.
+    fn update(&mut self, window: u64, f: impl FnOnce(&mut LinkWindowSample)) {
+        let fresh = LinkWindowSample {
+            window,
+            ..LinkWindowSample::default()
+        };
+        match self.cur.map(|c| c.window) {
+            Some(cur) if cur == window => f(self.cur.as_mut().expect("current window")),
+            Some(cur) if cur > window => {
+                let i = match self.ring.binary_search_by_key(&window, |w| w.window) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        self.ring.insert(i, fresh);
+                        i
+                    }
+                };
+                f(&mut self.ring[i]);
+                self.trim();
             }
-            self.ring.push(c);
+            _ => {
+                if let Some(c) = self.cur.take() {
+                    self.ring.push(c);
+                    self.trim();
+                }
+                f(self.cur.insert(fresh));
+            }
         }
+    }
+
+    /// Evict the oldest samples beyond the ring's capacity.
+    fn trim(&mut self) {
+        let excess = self.ring.len().saturating_sub(TELEMETRY_RING_CAP);
+        self.ring.drain(..excess);
+        self.dropped_windows += excess as u64;
     }
 
     /// Lifetime cells observed in any serve mode.
@@ -388,13 +430,67 @@ mod tests {
         assert_eq!(w[0].cells_trained, 40);
         assert_eq!(w[0].cells_per_cell, 1);
         assert_eq!(w[0].queue_high_water, 5);
-        assert_eq!(w[0].busy_us, 6);
+        // 40 trained cells of 3 µs each plus one per-cell cell.
+        assert_eq!(w[0].busy_us, 123);
         assert!(w[0].faulted, "fault flag is sticky within a window");
         assert_eq!(w[1].window, 1);
         assert_eq!(w[1].cells_parked, 8);
         assert!(!w[1].faulted);
         assert_eq!(t.total_cells(), 49);
         assert_eq!(t.dropped_windows, 0);
+    }
+
+    #[test]
+    fn train_books_each_cell_into_the_window_it_starts_in() {
+        use mits_sim::SimTime;
+        let mut t = LinkTelemetry::default();
+        let ct = SimDuration::from_micros(3);
+        // 2,000 cells from 4,000 µs: cells 0..=333 start before 5,000 µs,
+        // 334..=1999 between 5,002 and 9,997 µs.
+        let start = SimTime::from_micros(4_000);
+        t.note(start, ServeKind::Trained, 2_000, 7, ct, true);
+        // A run parked mid-train, noted behind the window the train
+        // already booked ahead, still lands in its own window.
+        t.note(
+            SimTime::from_micros(4_500),
+            ServeKind::Parked,
+            50,
+            9,
+            SimDuration::ZERO,
+            false,
+        );
+        let w = t.windows();
+        assert_eq!(w.len(), 2);
+        assert_eq!((w[0].window, w[1].window), (0, 1));
+        assert_eq!((w[0].cells_trained, w[1].cells_trained), (334, 1_666));
+        assert_eq!((w[0].busy_us, w[1].busy_us), (1_002, 4_998));
+        assert!(w.iter().all(|w| w.busy_us <= TELEMETRY_WINDOW_US));
+        assert_eq!((w[0].cells_parked, w[0].queue_high_water), (50, 9));
+        assert!(
+            w[0].faulted && !w[1].faulted,
+            "samples stay at their instant"
+        );
+        assert_eq!(t.total_cells(), 2_050);
+
+        // A slow link's train skips a window; a run parked in the gap is
+        // inserted between the windows the train booked.
+        let mut slow = LinkTelemetry::default();
+        let slow_ct = SimDuration::from_micros(12_000);
+        slow.note(SimTime::ZERO, ServeKind::Trained, 2, 0, slow_ct, false);
+        slow.note(
+            SimTime::from_micros(6_000),
+            ServeKind::Parked,
+            4,
+            1,
+            SimDuration::ZERO,
+            false,
+        );
+        let got: Vec<(u64, u64, u64)> = slow
+            .windows()
+            .iter()
+            .map(|w| (w.window, w.busy_us, w.cells_parked))
+            .collect();
+        assert_eq!(got, vec![(0, 12_000, 0), (1, 0, 4), (2, 12_000, 0)]);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::fault::{FaultPlan, FaultState, FaultStats, LinkFaults};
 use crate::link::{LinkProfile, LinkTelemetry, Policer, ServeKind, ServiceClass, TrafficContract};
 use bytes::Bytes;
 use mits_sim::{
-    MetricsRegistry, OnlineStats, RatioCounter, SimDuration, SimRng, SimTime, TimeWeighted,
+    ChanceThreshold, DelayMoments, MetricsRegistry, OnlineStats, RatioCounter, SimDuration, SimRng,
+    SimTime, TimeWeighted,
 };
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
@@ -104,8 +105,9 @@ pub struct VcStats {
     pub bytes_sent: u64,
     /// Payload bytes delivered.
     pub bytes_delivered: u64,
-    /// Cell transfer delay (seconds).
-    pub ctd: OnlineStats,
+    /// Cell transfer delay: exact integer moments of every delivered
+    /// cell's delay, reported in seconds.
+    pub ctd: DelayMoments,
     /// PDU latency: send call → validated delivery (seconds).
     pub pdu_latency: OnlineStats,
 }
@@ -131,6 +133,8 @@ struct LinkState {
     profile: LinkProfile,
     queues: Vec<TxQueue>,
     busy: bool,
+    /// The transmitter's busy flag (0/1) over time; its integral is the
+    /// link's exact busy microseconds.
     utilization: TimeWeighted,
     /// Injected faults from the network's [`FaultPlan`], if any.
     faults: Option<LinkFaults>,
@@ -292,8 +296,9 @@ pub struct TrainStats {
     pub runs: u64,
     /// Cells those runs carried without per-cell events.
     pub cells_batched: u64,
-    /// PDUs that never formed a train (short run, policer tag, fault
-    /// plan with RNG-coupled faults, or `force_per_cell`).
+    /// PDUs that never formed a train: a short run, a policer tag, a
+    /// first hop with RNG-coupled faults (loss, burst or jitter; later
+    /// hops only expand a train), or `force_per_cell`.
     pub per_cell_pdus: u64,
     /// Trains expanded to per-cell arrivals at a contended or
     /// rate-mismatched hop.
@@ -302,8 +307,9 @@ pub struct TrainStats {
     /// parked whole in the egress queue instead of expanding (served
     /// analytically when the transmitter frees).
     pub parked: u64,
-    /// Trains expanded because a link-down window overlapped the run's
-    /// serialization window.
+    /// Trains expanded at a hop whose faults they cannot reproduce: a
+    /// link-down window overlapping the run's serialization window, or
+    /// RNG-coupled loss, burst or jitter on the hop.
     pub expanded_fault_window: u64,
     /// Runs whose line-noise draw actually hit, shipping survivors
     /// per-cell.
@@ -481,10 +487,6 @@ pub struct AtmNetwork {
     /// Debug switch: disable the train fast path entirely (the
     /// equivalence witness for the batched scheduler).
     per_cell_only: bool,
-    /// Whether the installed fault plan is compatible with analytic
-    /// serialization (down-windows only — no RNG-coupled loss, burst or
-    /// jitter whose draw order a train would perturb).
-    plan_allows_trains: bool,
     train_stats: TrainStats,
     /// Reusable cell buffer for per-cell fallback segmentation.
     cell_scratch: Vec<AtmCell>,
@@ -521,7 +523,6 @@ impl AtmNetwork {
             trains: scratch.trains,
             free_trains: scratch.free_trains,
             per_cell_only: false,
-            plan_allows_trains: true,
             train_stats: TrainStats::default(),
             cell_scratch: scratch.cell_scratch,
             pdu_pool: scratch.pdu_pool,
@@ -577,14 +578,16 @@ impl AtmNetwork {
 
     /// Install (or replace) the fault plan. Applies to links already
     /// connected and to links connected afterwards.
+    ///
+    /// Cell trains stay engaged on every link whose faults are absent or
+    /// down windows only. A link with RNG-coupled faults (extra loss,
+    /// bursts, jitter) draws the shared fault RNG once per cell, which a
+    /// train cannot reproduce in order, so no train forms on, cuts
+    /// through to or parks at such a link: a train reaching one expands
+    /// into cells there, and its cells draw exactly as the per-cell
+    /// scheduler's would.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = plan;
-        // Trains consume line-noise RNG draws per cell (count-preserving)
-        // but cannot reproduce the fault RNG's per-cell draw order, so
-        // any plan with RNG-coupled faults (extra loss, bursts, jitter)
-        // pins the whole network to the exact per-cell path. Down-only
-        // plans are fine: trains expand inside their windows.
-        self.plan_allows_trains = self.fault_plan.is_down_only();
         for (&(from, to), id) in &self.link_index {
             self.links[id.0 as usize].faults = self.fault_plan.for_link(from, to).cloned();
         }
@@ -756,9 +759,9 @@ impl AtmNetwork {
         let link_ref = &self.links[link.0 as usize];
         let queue = &link_ref.queues[class.priority()];
         let can_train = !self.per_cell_only
-            && self.plan_allows_trains
             && tags.is_none()
             && ncells >= TRAIN_MIN_CELLS
+            && Self::trains_allowed(link_ref)
             && link_ref.top_priority >= class.priority()
             && queue.len_cells + ncells <= queue.capacity;
         if can_train {
@@ -778,8 +781,8 @@ impl AtmNetwork {
             }
             return Ok(seq);
         }
-        // Exact per-cell path: short runs, tagged cells, RNG-coupled
-        // fault plans, or forced fallback.
+        // Exact per-cell path: short runs, tagged cells, a first hop
+        // with RNG-coupled faults, or forced fallback.
         self.train_stats.per_cell_pdus += 1;
         let mut cells = std::mem::take(&mut self.cell_scratch);
         aal5::cells_from_run(0, vc.0, seq, &run, &mut cells);
@@ -899,6 +902,13 @@ impl AtmNetwork {
         Some(self.links[id.0 as usize].utilization.mean_until(self.now))
     }
 
+    /// The `a`→`b` link's weathermap: windowed serve samples and
+    /// lifetime serve-mode totals.
+    pub fn link_telemetry(&self, a: NodeId, b: NodeId) -> Option<&LinkTelemetry> {
+        let id = self.link_index.get(&(a, b))?;
+        Some(&self.links[id.0 as usize].telemetry)
+    }
+
     /// Queue drop counters of the `a`→`b` link, summed over classes.
     pub fn link_drops(&self, a: NodeId, b: NodeId) -> Option<u64> {
         let id = self.link_index.get(&(a, b))?;
@@ -950,7 +960,7 @@ impl AtmNetwork {
             reg.counter_set(&format!("{p}.cells_parked"), link.telemetry.total_parked);
         }
         let mut agg = VcStats::default();
-        let mut ctd = OnlineStats::new();
+        let mut ctd = DelayMoments::default();
         let mut pdu_latency = OnlineStats::new();
         for vc in &self.vcs {
             agg.cells_sent += vc.stats.cells_sent;
@@ -1175,7 +1185,7 @@ impl AtmNetwork {
             let link = &mut self.links[li];
             let Some(qi) = link.queues.iter().position(|q| !q.is_empty()) else {
                 link.busy = false;
-                link.utilization.set(now, 0.0);
+                link.utilization.set(now, 0);
                 return;
             };
             let needs_expand = matches!(
@@ -1197,7 +1207,7 @@ impl AtmNetwork {
             match link.queues[qi].take() {
                 Some(QueuedTx::Cell(flying)) => {
                     link.busy = true;
-                    link.utilization.set(now, 1.0);
+                    link.utilization.set(now, 1);
                     let cell_time =
                         mits_sim::SimDuration::for_bits(CELL_BITS, link.profile.rate_bps);
                     let queued = link.queues.iter().map(|q| q.len_cells as u64).sum();
@@ -1226,21 +1236,31 @@ impl AtmNetwork {
         }
     }
 
+    /// Whether cell trains may use this link at all: its faults, if
+    /// any, are down windows only, a pure function of the clock. Loss,
+    /// bursts and jitter draw the shared fault RNG per cell, in an order
+    /// only the per-cell scheduler reproduces.
+    fn trains_allowed(link: &LinkState) -> bool {
+        link.faults.as_ref().is_none_or(LinkFaults::is_down_only)
+    }
+
     /// Whether the link is clear to serialize an `n`-cell run starting
-    /// now: no down window may touch any of the run's per-cell TxDone
-    /// instants `now + k·cell_time`, k = 1..=n. The check is
-    /// conservative (window overlap, not instant membership) — a false
-    /// negative only costs the fallback to the exact per-cell path.
+    /// now: trains are allowed on it, and no down window may touch any
+    /// of the run's per-cell TxDone instants `now + k·cell_time`,
+    /// k = 1..=n. The window check is conservative (overlap, not
+    /// instant membership) — a false negative only costs the fallback
+    /// to the exact per-cell path.
     fn link_clear_for_train(link: &LinkState, now: SimTime, n: usize) -> bool {
         let Some(faults) = &link.faults else {
             return true;
         };
         let first = now + link.profile.cell_time();
         let last = now + link.profile.train_time(n as u64);
-        !faults
-            .down
-            .iter()
-            .any(|&(from, until)| from <= last && until > first)
+        faults.is_down_only()
+            && !faults
+                .down
+                .iter()
+                .any(|&(from, until)| from <= last && until > first)
     }
 
     fn stash_train(&mut self, t: Train) -> u32 {
@@ -1266,11 +1286,15 @@ impl AtmNetwork {
 
     /// Serialize a whole run analytically: one `TrainTxDone` for the
     /// transmitter plus one arrival event at the far end, instead of
-    /// `2n` per-cell events. Per-cell observables are reproduced exactly:
-    /// the utilization trace gets a sample at every cell boundary, the
-    /// line-noise RNG is drawn once per cell in cell order, and a
-    /// realized loss (≈ 1e-9 per draw) falls back to per-cell arrivals
-    /// for the survivors.
+    /// `2n` per-cell events. The bookkeeping for the n back-to-back
+    /// cells is one step each, and equals the per-cell path's exactly:
+    /// busy time and cell transfer delay are integers, so one busy
+    /// sample at the run's start and one closed-form delay update at
+    /// delivery sum to what n per-cell samples would; the weathermap
+    /// books each cell into the window it starts in. Only the line-noise
+    /// RNG is still drawn once per cell, in cell order, against an
+    /// integer threshold computed once; a realized loss (≈ 1e-9 per
+    /// draw) falls back to per-cell arrivals for the survivors.
     fn serve_train(&mut self, link_id: LinkId, train: Train) {
         let s = self.now;
         let n = train.run.ncells;
@@ -1278,26 +1302,21 @@ impl AtmNetwork {
         link.busy = true;
         let ct = mits_sim::SimDuration::for_bits(CELL_BITS, link.profile.rate_bps);
         let ct_us = ct.as_micros();
-        // The per-cell path samples utilization 1.0 at each cell's
-        // start-of-serialization instant; reproduce the trace exactly
-        // (TimeWeighted accumulates f64 in sample order).
-        for k in 0..n as u64 {
-            link.utilization
-                .set(s + SimDuration::from_micros(ct_us * k), 1.0);
-        }
+        // The per-cell path sets the busy flag at every cell's serve
+        // start; it stays 1 through the run, so one sample books it all.
+        link.utilization.set(s, 1);
         {
             let queued = link.queues.iter().map(|q| q.len_cells as u64).sum();
             let faulted = link.faults.as_ref().is_some_and(|f| f.is_down(s));
-            let busy_for = link.profile.train_time(n as u64);
             link.telemetry
-                .note(s, ServeKind::Trained, n as u64, queued, busy_for, faulted);
+                .note(s, ServeKind::Trained, n as u64, queued, ct, faulted);
         }
         if link.faults.is_some() {
             // Every cell of the run crosses a faulted link (down windows
             // were excluded by `link_clear_for_train`).
             self.fault_stats.faulted_cells += n as u64;
         }
-        let loss_rate = link.profile.loss_rate;
+        let line_noise = ChanceThreshold::new(link.profile.loss_rate);
         let prop = link.profile.prop_delay;
         let to_switch = self.nodes[link.to.0 as usize].is_switch;
         let done_at = s + link.profile.train_time(n as u64);
@@ -1305,7 +1324,7 @@ impl AtmNetwork {
         // stays count- and order-identical to the per-cell path.
         let mut lost: Vec<usize> = Vec::new();
         for k in 0..n {
-            if self.rng.chance(loss_rate) {
+            if self.rng.trial(line_noise) {
                 lost.push(k);
             }
         }
@@ -1419,10 +1438,13 @@ impl AtmNetwork {
             .unwrap_or(ServiceClass::Ubr);
         let nl = &self.links[next_link.0 as usize];
         let ct2 = mits_sim::SimDuration::for_bits(CELL_BITS, nl.profile.rate_bps);
-        // Structurally clear: nothing queued ahead, no higher-priority VC
-        // routed over the hop, and the egress cell rate matches the
-        // arrival spacing — the run will drain head-first, back-to-back.
-        let clear = nl.queues.iter().all(|q| q.is_empty())
+        // Structurally clear: trains allowed on the hop, nothing queued
+        // ahead, no higher-priority VC routed over it, and the egress
+        // cell rate matches the arrival spacing — the run will drain
+        // head-first, back-to-back.
+        let allowed = Self::trains_allowed(nl);
+        let clear = allowed
+            && nl.queues.iter().all(|q| q.is_empty())
             && nl.top_priority >= class.priority()
             && ct2 == train.spacing;
         let engageable = clear && !nl.busy && Self::link_clear_for_train(nl, now, n);
@@ -1457,13 +1479,17 @@ impl AtmNetwork {
             );
             return;
         }
-        // Contended / rate-mismatched hop: expand. Later cells become
-        // in-flight arrivals on this link (they are still propagating);
-        // the head cell enqueues right now. Arrives are scheduled before
-        // the head's enqueue so same-instant events keep the per-cell
-        // timer order (Arrive seq precedes the TxDone the enqueue may
-        // schedule).
-        self.train_stats.expanded_contention += 1;
+        // Contended, rate-mismatched or RNG-faulted hop: expand. Later
+        // cells become in-flight arrivals on this link (they are still
+        // propagating); the head cell enqueues right now. Arrives are
+        // scheduled before the head's enqueue so same-instant events
+        // keep the per-cell timer order (Arrive seq precedes the TxDone
+        // the enqueue may schedule).
+        if allowed {
+            self.train_stats.expanded_contention += 1;
+        } else {
+            self.train_stats.expanded_fault_window += 1;
+        }
         let sp_us = train.spacing.as_micros();
         for k in 1..n {
             let flying = Flying {
@@ -1515,11 +1541,11 @@ impl AtmNetwork {
             state.rx.clear();
         }
         state.stats.cells_delivered += n as u64;
-        let sp_us = train.spacing.as_micros();
-        for k in 0..n as u64 {
-            let at = train.head_at + SimDuration::from_micros(sp_us * k);
-            state.stats.ctd.record(at.since(train.born).as_secs_f64());
-        }
+        // Cell k arrived at head_at + k·spacing.
+        state
+            .stats
+            .ctd
+            .record_run(train.head_at.since(train.born), train.spacing, n as u64);
         match aal5::reassemble_run(&train.run.payload) {
             Ok(payload) => {
                 state.stats.pdus_delivered += 1;
@@ -1665,7 +1691,7 @@ impl AtmNetwork {
             return;
         }
         state.stats.cells_delivered += 1;
-        state.stats.ctd.record(now.since(flying.born).as_secs_f64());
+        state.stats.ctd.record(now.since(flying.born));
         let is_end = flying.cell.pdu_end;
         let this_seq = flying.cell.pdu_seq;
         // Cells of an older PDU that lost its end cell: flush on seq change.

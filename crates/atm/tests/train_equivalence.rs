@@ -3,19 +3,36 @@
 //! The batched scheduler must be *observationally invisible*: for any
 //! workload and any fault plan, a network running cell trains and the
 //! same network pinned to per-cell dispatch via `force_per_cell()` must
-//! produce byte-identical `Delivery` sequences, identical `VcStats`, and
-//! identical `FaultStats`. Down windows are the interesting case (trains
-//! stay engaged and must expand around the windows); RNG-coupled faults
-//! (extra loss, bursts, jitter) pin the whole network to the per-cell
-//! path, so equality there is a sanity check of the pinning itself.
+//! produce byte-identical `Delivery` sequences, identical `VcStats`
+//! (cell transfer delay as exact integer moments), identical
+//! `FaultStats`, and the same weathermap busy time in every window of
+//! every link.
+//!
+//! Trains may use every link whose faults are absent or down windows
+//! only. Down windows are one interesting case: trains stay engaged and
+//! expand around the windows. Links with RNG-coupled faults (extra
+//! loss, bursts, jitter) are the other: a train never forms on, cuts
+//! through to or parks at one, but rides the clean hops around it and
+//! expands into cells where it enters the faulted hop, whose fault-RNG
+//! draws must then happen per cell in exactly the per-cell order.
 
 use bytes::Bytes;
 use mits_atm::{
     AtmNetwork, Delivery, FaultPlan, FaultStats, LinkFaults, LinkProfile, NodeId, ServiceClass,
     VcId, VcStats,
 };
-use mits_sim::{OnlineStats, SimDuration, SimTime};
+use mits_sim::{DelayMoments, OnlineStats, SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// Node ids of the test topology, in the order `build` adds them.
+const A: NodeId = NodeId(0);
+const B: NodeId = NodeId(1);
+const S: NodeId = NodeId(2);
+const DST: NodeId = NodeId(3);
+
+/// The directed links the two VCs use: each VC's first hop, then the
+/// shared hop into the destination.
+const HOPS: [(NodeId, NodeId); 3] = [(A, S), (B, S), (S, DST)];
 
 /// One traffic step: wait `gap_us`, then send `size` bytes on VC `vc_ix`.
 #[derive(Debug, Clone)]
@@ -34,7 +51,8 @@ struct Observed {
 }
 
 /// `VcStats` flattened to exactly-comparable fields (`OnlineStats` holds
-/// f64 accumulators — compare their bit patterns, not rounded views).
+/// f64 accumulators — compare their bit patterns, not rounded views;
+/// the delay moments are integers and compare as they are).
 #[derive(Debug, PartialEq)]
 struct ComparableVcStats {
     cells_sent: u64,
@@ -45,7 +63,7 @@ struct ComparableVcStats {
     pdus_failed: u64,
     bytes_sent: u64,
     bytes_delivered: u64,
-    ctd: (u64, u64, Option<u64>, Option<u64>),
+    ctd: DelayMoments,
     pdu_latency: (u64, u64, Option<u64>, Option<u64>),
 }
 
@@ -68,7 +86,7 @@ fn flatten(s: &VcStats) -> ComparableVcStats {
         pdus_failed: s.pdus_failed,
         bytes_sent: s.bytes_sent,
         bytes_delivered: s.bytes_delivered,
-        ctd: flatten_online(&s.ctd),
+        ctd: s.ctd,
         pdu_latency: flatten_online(&s.pdu_latency),
     }
 }
@@ -82,6 +100,7 @@ fn build(seed: u64, plan: &FaultPlan, per_cell: bool) -> (AtmNetwork, Vec<VcId>,
     let b = net.add_host("b");
     let s = net.add_switch("s");
     let dst = net.add_host("dst");
+    assert_eq!([a, b, s, dst], [A, B, S, DST]);
     net.connect(a, s, LinkProfile::atm_oc3());
     net.connect(b, s, LinkProfile::atm_oc3());
     net.connect(s, dst, LinkProfile::atm_oc3());
@@ -96,9 +115,56 @@ fn build(seed: u64, plan: &FaultPlan, per_cell: bool) -> (AtmNetwork, Vec<VcId>,
     (net, vcs, dst)
 }
 
-/// Drive one network through the send schedule; return the observables
-/// plus the number of train runs the scheduler actually batched.
-fn run_one(seed: u64, plan: &FaultPlan, steps: &[SendStep], per_cell: bool) -> (Observed, u64) {
+/// Weathermap busy time per link: `(window, busy_us)` for every
+/// retained window that saw serialization, plus the first retained
+/// window (older ones were evicted from the ring).
+type Busy = Vec<(u64, Vec<(u64, u64)>)>;
+
+fn busy_windows(net: &AtmNetwork) -> Busy {
+    HOPS.iter()
+        .map(|&(from, to)| {
+            let windows = net.link_telemetry(from, to).expect("link").windows();
+            let first = windows.first().map_or(0, |w| w.window);
+            let busy = windows
+                .iter()
+                .filter(|w| w.busy_us > 0)
+                .map(|w| (w.window, w.busy_us))
+                .collect();
+            (first, busy)
+        })
+        .collect()
+}
+
+/// Per-link, per-window busy time must agree. A parked train notes a
+/// window with no busy time that the per-cell run never opens, which
+/// can evict one more old window from a full ring, so only windows both
+/// rings still hold are compared.
+fn same_busy(batched: &Busy, per_cell: &Busy) -> Result<(), String> {
+    for (hop, ((fa, a), (fb, b))) in HOPS.iter().zip(batched.iter().zip(per_cell)) {
+        let from = (*fa).max(*fb);
+        let keep = |v: &Vec<(u64, u64)>| -> Vec<(u64, u64)> {
+            v.iter().copied().filter(|w| w.0 >= from).collect()
+        };
+        if keep(a) != keep(b) {
+            return Err(format!(
+                "busy windows diverge on {hop:?}: {:?} vs {:?}",
+                keep(a),
+                keep(b)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Drive one network through the send schedule; return the observables,
+/// the number of train runs the scheduler actually batched, and the
+/// weathermap busy windows.
+fn run_one(
+    seed: u64,
+    plan: &FaultPlan,
+    steps: &[SendStep],
+    per_cell: bool,
+) -> (Observed, u64, Busy) {
     let (mut net, vcs, _dst) = build(seed, plan, per_cell);
     let mut deliveries = Vec::new();
     for st in steps {
@@ -122,6 +188,7 @@ fn run_one(seed: u64, plan: &FaultPlan, steps: &[SendStep], per_cell: bool) -> (
             fault_stats: net.fault_stats(),
         },
         runs,
+        busy_windows(&net),
     )
 }
 
@@ -129,12 +196,13 @@ fn run_one(seed: u64, plan: &FaultPlan, steps: &[SendStep], per_cell: bool) -> (
 /// the batched network's train run count so callers can assert the fast
 /// path actually engaged (or stayed out).
 fn assert_equivalent(seed: u64, plan: &FaultPlan, steps: &[SendStep]) -> u64 {
-    let (batched, runs) = run_one(seed, plan, steps, false);
-    let (per_cell, pinned_runs) = run_one(seed, plan, steps, true);
+    let (batched, runs, busy) = run_one(seed, plan, steps, false);
+    let (per_cell, pinned_runs, pinned_busy) = run_one(seed, plan, steps, true);
     assert_eq!(
         batched, per_cell,
         "train path diverged from per-cell path (seed {seed})"
     );
+    same_busy(&busy, &pinned_busy).unwrap();
     assert_eq!(pinned_runs, 0, "force_per_cell must disable trains");
     runs
 }
@@ -185,10 +253,10 @@ fn down_windows_match_per_cell_exactly() {
 
 #[test]
 fn rng_coupled_faults_pin_per_cell_and_match() {
-    // Extra loss + jitter consume the fault RNG per cell: the network
-    // must pin itself to the per-cell path (trains would skew the draw
-    // order), making both runs trivially identical — verify both the
-    // pinning and the equality.
+    // Extra loss + jitter consume the fault RNG per cell, so no train
+    // may use a link carrying them. A uniform plan puts them on every
+    // hop: no hop is eligible, no train forms, and both runs are
+    // trivially identical — verify both the exclusion and the equality.
     let plan = FaultPlan::uniform(LinkFaults::loss(0.01).with_jitter(SimDuration::from_micros(40)));
     let runs = assert_equivalent(7, &plan, &big_steps());
     assert_eq!(runs, 0, "RNG-coupled plans must disable the fast path");
@@ -224,8 +292,79 @@ proptest! {
         } else {
             FaultPlan::uniform(faults)
         };
-        let (batched, _) = run_one(seed, &plan, &steps, false);
-        let (per_cell, _) = run_one(seed, &plan, &steps, true);
+        let (batched, _, busy) = run_one(seed, &plan, &steps, false);
+        let (per_cell, _, pinned_busy) = run_one(seed, &plan, &steps, true);
         prop_assert_eq!(batched, per_cell);
+        prop_assert_eq!(same_busy(&busy, &pinned_busy), Ok(()));
+    }
+}
+
+/// RNG-coupled faults for one link, by kind: independent loss, a burst
+/// process, jitter, or loss plus a down window.
+fn coupled_faults(kind: u8, p: f64, ms: u64) -> LinkFaults {
+    match kind {
+        0 => LinkFaults::loss(p),
+        1 => LinkFaults::default().with_burst(p, 1.0 + p * 1_000.0),
+        2 => LinkFaults::default().with_jitter(SimDuration::from_micros(1 + (p * 1e4) as u64)),
+        _ => LinkFaults::loss(p).with_down(SimTime::from_millis(ms), SimTime::from_millis(ms + 3)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Per-link trains: one or two random hops carry RNG-coupled faults,
+    /// the others are clean or down-only. Trains ride the eligible hops
+    /// and expand into cells where they enter a faulted one; the two
+    /// schedulers must still agree on every observable, and trains must
+    /// engage whenever a VC's first hop is clean.
+    #[test]
+    fn per_link_trains_match_per_cell_with_rng_coupled_hops(
+        seed in any::<u64>(),
+        sizes in prop::collection::vec(1usize..60_000, 1..8),
+        gaps in prop::collection::vec(0u64..40_000, 1..8),
+        coupled in prop::sample::select(vec![
+            vec![0usize],
+            vec![1],
+            vec![2],
+            vec![0, 1],
+            vec![0, 2],
+            vec![1, 2],
+        ]),
+        kinds in prop::collection::vec((0u8..4, 1e-4f64..0.02, 0u64..60), 3),
+        down in prop::collection::vec(prop::option::of((0u64..80, 1u64..15)), 3),
+    ) {
+        let steps: Vec<SendStep> = sizes
+            .iter()
+            .zip(gaps.iter().cycle())
+            .enumerate()
+            .map(|(i, (&size, &gap_us))| SendStep { vc_ix: i % 2, size, gap_us })
+            .collect();
+        let mut plan = FaultPlan::none();
+        let mut clean = [true; 3];
+        for (i, &(from, to)) in HOPS.iter().enumerate() {
+            let faults = if coupled.contains(&i) {
+                let (kind, p, ms) = kinds[i];
+                coupled_faults(kind, p, ms)
+            } else if let Some((from_ms, len_ms)) = down[i] {
+                LinkFaults::default().with_down(
+                    SimTime::from_millis(from_ms),
+                    SimTime::from_millis(from_ms + len_ms),
+                )
+            } else {
+                continue;
+            };
+            clean[i] = false;
+            plan = plan.with_link(from, to, faults);
+        }
+        let (batched, runs, busy) = run_one(seed, &plan, &steps, false);
+        let (per_cell, _, pinned_busy) = run_one(seed, &plan, &steps, true);
+        prop_assert_eq!(batched, per_cell);
+        prop_assert_eq!(same_busy(&busy, &pinned_busy), Ok(()));
+        // A PDU of 200+ bytes is at least 4 cells: it forms a train on a
+        // clean first hop (HOPS[vc] is VC vc's first hop).
+        if steps.iter().any(|st| clean[st.vc_ix] && st.size >= 200) {
+            prop_assert!(runs > 0, "no train engaged on a clean first hop");
+        }
     }
 }

@@ -86,9 +86,9 @@ pub use profile::{classify_layer, profile_spans, profile_tracer, LayerTotal, Nam
 pub use queue::{BoundedQueue, DropPolicy, TokenBucket};
 pub use registry::{MetricsRegistry, MetricsSnapshot, SnapshotValue};
 pub use replay::{derive_seed, DigestTrace, Divergence, ReplayBundle};
-pub use rng::SimRng;
+pub use rng::{ChanceThreshold, SimRng};
 pub use slo::{Slo, SloInput, SloKind, SloOutcome, SloReport, Verdict};
-pub use stats::{Exemplar, Histogram, OnlineStats, RatioCounter, TimeWeighted};
+pub use stats::{DelayMoments, Exemplar, Histogram, OnlineStats, RatioCounter, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Timeline, TimelineRecorder, WindowStats};
 pub use trace::{SampleReason, SpanId, SpanInfo, TailSignals, TraceSampler, Tracer};

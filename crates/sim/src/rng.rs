@@ -104,6 +104,12 @@ impl SimRng {
         self.f64() < p
     }
 
+    /// Bernoulli trial against a precomputed [`ChanceThreshold`]: the
+    /// same decision, from the same single draw, as `chance(p)`.
+    pub fn trial(&mut self, t: ChanceThreshold) -> bool {
+        (self.next_raw() >> 11) < t.0
+    }
+
     /// Exponentially distributed value with the given mean (for Poisson
     /// arrival processes — question arrivals at the facilitator, request
     /// interarrivals at the courseware server).
@@ -146,6 +152,31 @@ impl SimRng {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
         &items[self.below(items.len() as u64) as usize]
+    }
+}
+
+/// A probability `p` as an integer threshold on the 53 random bits that
+/// [`SimRng::f64`] scales into `[0, 1)`, for loops that draw many trials
+/// at one `p` (a cell train's line-noise draws).
+///
+/// `f64()` is `u · 2⁻⁵³` for a 53-bit integer `u`, and the scaling is
+/// exact, so `f64() < p` holds exactly when `u < p · 2⁵³`, that is when
+/// `u < ceil(p · 2⁵³)`. A `p` that is NaN or ≤ 0 never hits (threshold
+/// 0), and one ≥ 1 always does (threshold 2⁵³).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChanceThreshold(u64);
+
+impl ChanceThreshold {
+    /// The threshold for probability `p`.
+    pub fn new(p: f64) -> Self {
+        const ONE: u64 = 1 << 53;
+        if p >= 1.0 {
+            ChanceThreshold(ONE)
+        } else if p > 0.0 {
+            ChanceThreshold((p * ONE as f64).ceil() as u64)
+        } else {
+            ChanceThreshold(0)
+        }
     }
 }
 

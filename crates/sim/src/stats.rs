@@ -403,33 +403,172 @@ fn merge_join<T: Copy>(
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal, e.g. queue length
-/// or link utilisation over virtual time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    weighted_sum: f64,
-    started: Option<SimTime>,
-    max: f64,
+/// Exact moments of a stream of whole-microsecond delays: the count, Σx
+/// and Σx² as integers, plus min and max.
+///
+/// Nothing rounds until a query, so the moments do not depend on how
+/// the samples were grouped: [`DelayMoments::record_run`] books an
+/// arithmetic progression of delays in closed form and equals recording
+/// them one at a time, and [`DelayMoments::merge`] is exactly
+/// associative and commutative. The sums are `u128` and every update is
+/// checked: a sum that would overflow (some 10¹⁹ hour-long samples)
+/// saturates at `u128::MAX` instead of panicking.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DelayMoments {
+    n: u64,
+    sum: u128,
+    sum_sq: u128,
+    /// Smallest and largest sample in µs; meaningful only when `n > 0`.
+    min: u64,
+    max: u64,
 }
 
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
+impl DelayMoments {
+    /// Record one delay.
+    pub fn record(&mut self, d: SimDuration) {
+        let x = d.as_micros();
+        self.add(1, u128::from(x), u128::from(x) * u128::from(x), x, x);
     }
+
+    /// Record the `n` delays `first + k·step`, k = 0..n, in O(1): a cell
+    /// train's transfer delays, whose cells arrive `step` apart. Equal to
+    /// `n` calls of [`DelayMoments::record`].
+    pub fn record_run(&mut self, first: SimDuration, step: SimDuration, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let (a, d, m) = (
+            u128::from(first.as_micros()),
+            u128::from(step.as_micros()),
+            u128::from(n),
+        );
+        // Σk = t = n(n−1)/2 and Σk² = t(2n−1)/3 over k < n. Each factor
+        // is divided before it is multiplied, so no intermediate exceeds
+        // the term it builds and a failed check means the true sum
+        // exceeds u128 — exactly when the one-by-one sums saturate.
+        let t = if n.is_multiple_of(2) {
+            (m / 2) * (m - 1)
+        } else {
+            m * ((m - 1) / 2)
+        };
+        let sum = d
+            .checked_mul(t)
+            .and_then(|s| s.checked_add(m * a))
+            .unwrap_or(u128::MAX);
+        let sq_k = if d == 0 {
+            Some(0)
+        } else if (2 * m - 1) % 3 == 0 {
+            t.checked_mul((2 * m - 1) / 3)
+        } else {
+            (t / 3).checked_mul(2 * m - 1)
+        };
+        let sum_sq = (a * a)
+            .checked_mul(m)
+            .zip((a * d).checked_mul(t).and_then(|x| x.checked_mul(2)))
+            .and_then(|(x, y)| x.checked_add(y))
+            .zip(sq_k.and_then(|s| s.checked_mul(d * d)))
+            .and_then(|(x, y)| x.checked_add(y))
+            .unwrap_or(u128::MAX);
+        let last = first
+            .as_micros()
+            .saturating_add(step.as_micros().saturating_mul(n - 1));
+        self.add(n, sum, sum_sq, first.as_micros(), last);
+    }
+
+    fn add(&mut self, n: u64, sum: u128, sum_sq: u128, min: u64, max: u64) {
+        if self.n == 0 {
+            (self.min, self.max) = (min, max);
+        } else {
+            self.min = self.min.min(min);
+            self.max = self.max.max(max);
+        }
+        self.n = self.n.saturating_add(n);
+        self.sum = self.sum.saturating_add(sum);
+        self.sum_sq = self.sum_sq.saturating_add(sum_sq);
+    }
+
+    /// Merge another collector into this one.
+    pub fn merge(&mut self, other: &DelayMoments) {
+        if other.n > 0 {
+            self.add(other.n, other.sum, other.sum_sq, other.min, other.max);
+        }
+    }
+
+    /// Number of samples.
+    pub fn count(&self) -> u64 {
+        self.n
+    }
+
+    /// Mean delay in seconds (0 for empty).
+    pub fn mean(&self) -> f64 {
+        if self.n == 0 {
+            return 0.0;
+        }
+        self.sum as f64 / self.n as f64 / 1e6
+    }
+
+    /// Population variance in seconds² (0 for fewer than 2 samples).
+    pub fn variance(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let n = u128::from(self.n);
+        let (q, r) = (self.sum / n, self.sum % n);
+        // Σ(x − q)² = Σx² − q(Σx + r) lies in [0, Σx²], so wrapping
+        // arithmetic computes it exactly.
+        let dev = self
+            .sum_sq
+            .wrapping_sub(q.wrapping_mul(self.sum.wrapping_add(r)));
+        // n·Σ(x − mean)² = n·dev − r², with r² < n² split by n so the
+        // subtraction stays in range.
+        let (r2q, r2r) = (r * r / n, r * r % n);
+        let e = dev.saturating_sub(r2q);
+        let us2 = match e.checked_mul(n) {
+            Some(ne) => ne.saturating_sub(r2r) as f64 / (n as f64 * n as f64),
+            // r2r/n² < 1/n is below the resolution of e/n ≥ 2^64.
+            None => e as f64 / n as f64,
+        };
+        us2 / 1e12
+    }
+
+    /// Standard deviation in seconds.
+    pub fn std_dev(&self) -> f64 {
+        self.variance().sqrt()
+    }
+
+    /// Smallest sample (None when empty).
+    pub fn min(&self) -> Option<SimDuration> {
+        (self.n > 0).then_some(SimDuration::from_micros(self.min))
+    }
+
+    /// Largest sample (None when empty).
+    pub fn max(&self) -> Option<SimDuration> {
+        (self.n > 0).then_some(SimDuration::from_micros(self.max))
+    }
+}
+
+/// Time-weighted average of a piecewise-constant integer signal over
+/// virtual time, e.g. a link's busy flag, whose integral is its busy
+/// microseconds.
+///
+/// The integral is exact: value × microseconds in a `u128` that
+/// saturates instead of overflowing, rounded once by `mean_until`.
+/// Setting the value it already has adds nothing, so back-to-back busy
+/// intervals book with one `set` at the first one's start.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct TimeWeighted {
+    last_t: SimTime,
+    last_v: u64,
+    /// ∫ value dt over `[start, last_t]`, in value × µs.
+    integral: u128,
+    started: Option<SimTime>,
+    max: u64,
 }
 
 impl TimeWeighted {
     /// Empty collector.
     pub fn new() -> Self {
-        TimeWeighted {
-            last_t: SimTime::ZERO,
-            last_v: 0.0,
-            weighted_sum: 0.0,
-            started: None,
-            max: 0.0,
-        }
+        Self::default()
     }
 
     /// Record that the signal changed to `v` at time `t`.
@@ -439,16 +578,15 @@ impl TimeWeighted {
     /// contributes zero weight for the past, then takes effect as the
     /// new current value), so the collector never goes backwards and
     /// `mean_until` stays finite and within the observed value range.
-    pub fn set(&mut self, t: SimTime, v: f64) {
+    pub fn set(&mut self, t: SimTime, v: u64) {
         let t = t.max(self.last_t);
-        match self.started {
-            None => {
-                self.started = Some(t);
-            }
-            Some(_) => {
-                let dt = t.since(self.last_t).as_secs_f64();
-                self.weighted_sum += self.last_v * dt;
-            }
+        if self.started.is_none() {
+            self.started = Some(t);
+        } else {
+            let dt = t.since(self.last_t).as_micros();
+            self.integral = self
+                .integral
+                .saturating_add(u128::from(self.last_v) * u128::from(dt));
         }
         self.last_t = t;
         self.last_v = v;
@@ -460,21 +598,21 @@ impl TimeWeighted {
         let Some(start) = self.started else {
             return 0.0;
         };
-        let total = until.since(start).as_secs_f64();
-        if total <= 0.0 {
-            return self.last_v;
+        let total = until.since(start).as_micros();
+        if total == 0 {
+            return self.last_v as f64;
         }
-        let tail = until.since(self.last_t).as_secs_f64();
-        (self.weighted_sum + self.last_v * tail) / total
+        let tail = u128::from(self.last_v) * u128::from(until.since(self.last_t).as_micros());
+        self.integral.saturating_add(tail) as f64 / total as f64
     }
 
     /// Maximum value observed.
-    pub fn max(&self) -> f64 {
+    pub fn max(&self) -> u64 {
         self.max
     }
 
     /// Current value of the signal.
-    pub fn current(&self) -> f64 {
+    pub fn current(&self) -> u64 {
         self.last_v
     }
 }
@@ -636,12 +774,39 @@ mod tests {
     #[test]
     fn time_weighted_out_of_order_set_is_clamped() {
         let mut tw = TimeWeighted::new();
-        tw.set(SimTime::from_secs(2), 4.0);
+        tw.set(SimTime::from_secs(2), 4);
         // Out-of-order update: clamped to t=2, becomes the current value.
-        tw.set(SimTime::from_secs(1), 8.0);
+        tw.set(SimTime::from_secs(1), 8);
         let mean = tw.mean_until(SimTime::from_secs(4));
         assert!((mean - 8.0).abs() < 1e-9, "mean {mean}");
-        assert_eq!(tw.current(), 8.0);
+        assert_eq!(tw.current(), 8);
+    }
+
+    #[test]
+    fn delay_moments_basic() {
+        let mut m = DelayMoments::default();
+        assert_eq!((m.count(), m.mean(), m.variance()), (0, 0.0, 0.0));
+        assert_eq!((m.min(), m.max()), (None, None));
+        for us in [2, 4, 4, 4, 5, 5, 7, 9] {
+            m.record(SimDuration::from_micros(us));
+        }
+        assert_eq!(m.count(), 8);
+        assert_eq!(m.mean(), 5e-6);
+        assert!((m.variance() - 4e-12).abs() < 1e-24);
+        assert_eq!(m.min(), Some(SimDuration::from_micros(2)));
+        assert_eq!(m.max(), Some(SimDuration::from_micros(9)));
+        // A run of arrivals 3 µs apart books in closed form.
+        let mut run = DelayMoments::default();
+        run.record_run(
+            SimDuration::from_micros(100),
+            SimDuration::from_micros(3),
+            5,
+        );
+        let mut one = DelayMoments::default();
+        for k in 0..5 {
+            one.record(SimDuration::from_micros(100 + 3 * k));
+        }
+        assert_eq!(run, one);
     }
 
     #[test]
@@ -662,12 +827,12 @@ mod tests {
     fn time_weighted_mean() {
         let mut tw = TimeWeighted::new();
         // 0 for 1s, then 10 for 1s → mean 5 over [0, 2].
-        tw.set(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_secs(1), 10.0);
+        tw.set(SimTime::ZERO, 0);
+        tw.set(SimTime::from_secs(1), 10);
         let mean = tw.mean_until(SimTime::from_secs(2));
-        assert!((mean - 5.0).abs() < 1e-9, "mean {mean}");
-        assert_eq!(tw.max(), 10.0);
-        assert_eq!(tw.current(), 10.0);
+        assert_eq!(mean, 5.0);
+        assert_eq!(tw.max(), 10);
+        assert_eq!(tw.current(), 10);
     }
 
     #[test]

@@ -155,12 +155,12 @@ proptest! {
     /// keeps mean_until finite and inside the observed value range.
     #[test]
     fn time_weighted_tolerates_out_of_order_sets(
-        points in prop::collection::vec((0u64..10_000, 0f64..100.0), 1..80),
+        points in prop::collection::vec((0u64..10_000, 0u64..100), 1..80),
         until_extra in 0u64..10_000,
     ) {
         let mut tw = TimeWeighted::new();
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
+        let mut lo = u64::MAX;
+        let mut hi = 0;
         let mut max_t = 0u64;
         for &(t, v) in &points {
             tw.set(SimTime::from_micros(t), v);
@@ -172,7 +172,7 @@ proptest! {
         let mean = tw.mean_until(until);
         prop_assert!(mean.is_finite(), "mean {}", mean);
         prop_assert!(
-            mean >= lo - 1e-9 && mean <= hi + 1e-9,
+            mean >= lo as f64 - 1e-9 && mean <= hi as f64 + 1e-9,
             "mean {} outside [{}, {}]",
             mean,
             lo,
