@@ -85,33 +85,61 @@ pub struct RunImage {
 /// place (payload bytes, zero padding, length field, CRC) — no
 /// `vec![0; total]` pre-zeroing and no second copy into the shared
 /// buffer.
-#[allow(unsafe_code)] // single-pass init of an uninit Arc slice, fully written before use
 pub fn segment_run(payload: &[u8]) -> RunImage {
-    let body_len = payload.len() + TRAILER;
-    let ncells = body_len.div_ceil(CELL_PAYLOAD).max(1);
-    let total = ncells * CELL_PAYLOAD;
-    let mut arc: Arc<[std::mem::MaybeUninit<u8>]> = Arc::new_uninit_slice(total);
-    let buf = Arc::get_mut(&mut arc).expect("freshly allocated");
-    let dst = buf.as_mut_ptr().cast::<u8>();
-    // SAFETY: `dst` points at `total` writable bytes; the three writes
-    // below initialize [0, total-4) exactly once (payload, then zeroed
-    // padding + reserved trailer bytes, then the length field), and the
-    // CRC write initializes the final 4.
+    fresh_run(&[payload])
+}
+
+/// Total payload length of a gather list (the PDU is its parts
+/// concatenated in order).
+fn pdu_len(pdu: &[&[u8]]) -> usize {
+    pdu.iter().map(|p| p.len()).sum()
+}
+
+/// Write the run image of the PDU `pdu` (its parts in order, zero
+/// padding, the length field, then the CRC over all of it) into `dst`.
+/// Each payload byte is copied exactly once.
+///
+/// # Safety
+/// `dst` must be valid for writes of `total` bytes, where `total` is the
+/// padded body size for `len = pdu_len(pdu)` (a multiple of 48, at least
+/// `len + TRAILER`), and must not overlap any part of `pdu`.
+#[allow(unsafe_code)] // raw writes so a fresh uninit allocation needs no pre-zeroing
+unsafe fn write_run(dst: *mut u8, pdu: &[&[u8]], len: usize, total: usize) {
+    let mut at = 0;
+    for part in pdu {
+        // SAFETY: the parts sum to `len`, so `[at, at + part.len())`
+        // stays inside `[0, len)` of `dst`, which cannot overlap `part`.
+        unsafe { std::ptr::copy_nonoverlapping(part.as_ptr(), dst.add(at), part.len()) };
+        at += part.len();
+    }
+    // SAFETY: `[len, total)` is inside `dst`; after these writes every
+    // byte of `[0, total - 4)` is initialized (payload, zeroed padding
+    // and reserved trailer bytes, length field), so the CRC may read it.
     let crc = unsafe {
-        std::ptr::copy_nonoverlapping(payload.as_ptr(), dst, payload.len());
-        std::ptr::write_bytes(dst.add(payload.len()), 0, total - 6 - payload.len());
-        let len_be = (payload.len() as u16).to_be_bytes();
-        // (16-bit length like real AAL5; PDUs > 65535 carry length mod 2^16
-        // and rely on the cell count check, as real AAL5 caps PDUs at 65535.)
+        std::ptr::write_bytes(dst.add(len), 0, total - 6 - len);
+        // (16-bit length like real AAL5; PDUs > 65535 carry length mod
+        // 2^16 and rely on the cell count check, as real AAL5 caps PDUs
+        // at 65535.)
+        let len_be = (len as u16).to_be_bytes();
         std::ptr::copy_nonoverlapping(len_be.as_ptr(), dst.add(total - 6), 2);
         crc32(std::slice::from_raw_parts(dst, total - 4))
     };
-    let crc_be = crc.to_be_bytes();
-    // SAFETY: last 4 bytes of the same allocation.
-    unsafe {
-        std::ptr::copy_nonoverlapping(crc_be.as_ptr(), dst.add(total - 4), 4);
-    }
-    // SAFETY: every byte of the slice was initialized above.
+    // SAFETY: the last 4 bytes of `dst`.
+    unsafe { std::ptr::copy_nonoverlapping(crc.to_be_bytes().as_ptr(), dst.add(total - 4), 4) };
+}
+
+/// Run image of `pdu` in a freshly allocated buffer.
+#[allow(unsafe_code)] // single-pass init of an uninit Arc slice, fully written before use
+fn fresh_run(pdu: &[&[u8]]) -> RunImage {
+    let len = pdu_len(pdu);
+    let ncells = cells_for(len);
+    let total = ncells * CELL_PAYLOAD;
+    let mut arc: Arc<[std::mem::MaybeUninit<u8>]> = Arc::new_uninit_slice(total);
+    let buf = Arc::get_mut(&mut arc).expect("freshly allocated");
+    // SAFETY: `buf` is `total` writable bytes of a new allocation, so it
+    // overlaps no part of `pdu`.
+    unsafe { write_run(buf.as_mut_ptr().cast::<u8>(), pdu, len, total) };
+    // SAFETY: `write_run` initialized every byte of the slice.
     let arc: Arc<[u8]> = unsafe { arc.assume_init() };
     RunImage {
         payload: Payload::from_arc(arc),
@@ -125,26 +153,31 @@ pub fn segment_run(payload: &[u8]) -> RunImage {
 const POOL_MAX: usize = 16;
 const POOL_MIN_BYTES: usize = 1024;
 
-/// [`segment_run`] with buffer recycling through `pool` (typically the
-/// network's `NetScratch`). When the pool holds a retired buffer of
-/// exactly the right size whose only remaining owner is the pool itself,
-/// the run is rewritten into it in place — zero allocations on the steady
-///-state send path. Every byte is overwritten (payload, padding, length
-/// field, CRC), so a recycled run is bit-identical to a fresh one. The
-/// buffer stays registered in the pool and becomes reusable again once
-/// the network and its deliveries drop their views.
-pub fn segment_run_pooled(payload: &[u8], pool: &mut Vec<Arc<[u8]>>) -> RunImage {
-    let body_len = payload.len() + TRAILER;
-    let ncells = body_len.div_ceil(CELL_PAYLOAD).max(1);
+/// The run image of the PDU `pdu` — a gather list, whose parts
+/// concatenated in order are the PDU — with buffer recycling through
+/// `pool` (typically the network's `NetScratch`). The parts are written
+/// once, straight into the run image, and the image is bit-identical to
+/// [`segment_run`] over their concatenation. When the pool holds a
+/// retired buffer of exactly the right size whose only remaining owner
+/// is the pool itself, the run is rewritten into it in place — zero
+/// allocations on the steady-state send path. Every byte is overwritten
+/// (payload, padding, length field, CRC), so a recycled run is
+/// bit-identical to a fresh one. The buffer stays registered in the
+/// pool and becomes reusable again once the network and its deliveries
+/// drop their views.
+#[allow(unsafe_code)] // the shared writer takes a raw destination
+pub fn segment_run_pooled(pdu: &[&[u8]], pool: &mut Vec<Arc<[u8]>>) -> RunImage {
+    let len = pdu_len(pdu);
+    let ncells = cells_for(len);
     let total = ncells * CELL_PAYLOAD;
     if total < POOL_MIN_BYTES {
-        return segment_run(payload);
+        return fresh_run(pdu);
     }
     let reusable = pool
         .iter()
         .position(|a| a.len() == total && Arc::strong_count(a) == 1);
     let Some(i) = reusable else {
-        let run = segment_run(payload);
+        let run = fresh_run(pdu);
         if pool.len() >= POOL_MAX {
             pool.swap_remove(0);
         }
@@ -152,14 +185,10 @@ pub fn segment_run_pooled(payload: &[u8], pool: &mut Vec<Arc<[u8]>>) -> RunImage
         return run;
     };
     let mut arc = pool.swap_remove(i);
-    {
-        let buf = Arc::get_mut(&mut arc).expect("uniquely owned");
-        buf[..payload.len()].copy_from_slice(payload);
-        buf[payload.len()..total - 6].fill(0);
-        buf[total - 6..total - 4].copy_from_slice(&(payload.len() as u16).to_be_bytes());
-        let crc = crc32(&buf[..total - 4]);
-        buf[total - 4..].copy_from_slice(&crc.to_be_bytes());
-    }
+    let buf = Arc::get_mut(&mut arc).expect("uniquely owned");
+    // SAFETY: `buf` is `total` bytes, uniquely owned here (no `Payload`
+    // or `Bytes` views it, so no part of `pdu` can alias it).
+    unsafe { write_run(buf.as_mut_ptr(), pdu, len, total) };
     let view = Payload::from_arc(Arc::clone(&arc));
     pool.push(arc);
     RunImage {

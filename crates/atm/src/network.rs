@@ -725,16 +725,19 @@ impl AtmNetwork {
         self.vcs.get_mut((vc.0 as usize).wrapping_sub(1))
     }
 
-    /// Queue a PDU on a VC at the current clock. Returns the PDU sequence
-    /// number.
-    pub fn send(&mut self, vc: VcId, payload: Bytes) -> Result<u64, NetError> {
+    /// Queue a PDU on a VC at the current clock. The PDU is a gather
+    /// list: its parts, concatenated in order, are the payload (a
+    /// single-buffer PDU is `&[buf]`). Each byte is copied once, straight
+    /// into the AAL5 run image. Returns the PDU sequence number.
+    pub fn send(&mut self, vc: VcId, pdu: &[&[u8]]) -> Result<u64, NetError> {
         let now = self.now;
         let state = self.vc_mut(vc).ok_or(NetError::UnknownVc(vc))?;
         let seq = state.next_pdu_seq;
         state.next_pdu_seq += 1;
+        let len: usize = pdu.iter().map(|p| p.len()).sum();
         state.stats.pdus_sent += 1;
-        state.stats.bytes_sent += payload.len() as u64;
-        let ncells = aal5::cells_for(payload.len());
+        state.stats.bytes_sent += len as u64;
+        let ncells = aal5::cells_for(len);
         state.stats.cells_sent += ncells as u64;
         // Police at the source UNI: non-conforming cells are tagged
         // CLP=1. Tags are collected per cell index so the train decision
@@ -755,7 +758,7 @@ impl AtmNetwork {
         }
         let class = state.class;
         let link = state.first_link;
-        let run = aal5::segment_run_pooled(&payload, &mut self.pdu_pool);
+        let run = aal5::segment_run_pooled(pdu, &mut self.pdu_pool);
         let link_ref = &self.links[link.0 as usize];
         let queue = &link_ref.queues[class.priority()];
         let can_train = !self.per_cell_only
@@ -833,8 +836,9 @@ impl AtmNetwork {
     /// This lets a driver react to each delivery at its exact time
     /// without being woken for every intervening cell event. When
     /// nothing is delivered the clock lands on `to`, exactly like
-    /// [`AtmNetwork::advance`].
-    pub fn advance_until_delivery(&mut self, to: SimTime) -> Vec<Delivery> {
+    /// [`AtmNetwork::advance`]. Deliveries are appended to `out`, so a
+    /// caller that reuses one buffer allocates nothing per step.
+    pub fn advance_until_delivery(&mut self, to: SimTime, out: &mut Vec<Delivery>) {
         assert!(to >= self.now, "network clock cannot go backwards");
         while let Some(t) = self.timers.peek() {
             if t.at > to {
@@ -842,7 +846,8 @@ impl AtmNetwork {
             }
             if !self.deliveries.is_empty() && t.at > self.now {
                 // Deliveries landed at `now`; later events keep.
-                return std::mem::take(&mut self.deliveries);
+                out.append(&mut self.deliveries);
+                return;
             }
             let timer = self.timers.pop().expect("peeked");
             self.now = timer.at;
@@ -859,7 +864,7 @@ impl AtmNetwork {
         if self.deliveries.is_empty() {
             self.now = to;
         }
-        std::mem::take(&mut self.deliveries)
+        out.append(&mut self.deliveries);
     }
 
     /// True when no cells are queued or in flight.
@@ -1683,7 +1688,7 @@ impl AtmNetwork {
         }
         // Destination host: account and reassemble.
         let now = self.now;
-        let Some(state) = self.vc_mut(vc) else {
+        let Some(state) = self.vcs.get_mut((vc.0 as usize).wrapping_sub(1)) else {
             return;
         };
         if state.dst != node_id {
@@ -1707,8 +1712,13 @@ impl AtmNetwork {
             return;
         }
         let send_call = state.rx.first().map(|f| f.send_call).unwrap_or(now);
-        let cells: Vec<AtmCell> = state.rx.drain(..).map(|f| f.cell).collect();
-        match aal5::reassemble(&cells) {
+        // Stage the PDU's cells in the reused scratch (no per-PDU Vec).
+        let cells = &mut self.cell_scratch;
+        cells.clear();
+        cells.extend(state.rx.drain(..).map(|f| f.cell));
+        let reassembled = aal5::reassemble(cells);
+        cells.clear();
+        match reassembled {
             Ok(payload) => {
                 state.stats.pdus_delivered += 1;
                 state.stats.bytes_delivered += payload.len() as u64;
@@ -1752,7 +1762,7 @@ mod tests {
         let (mut net, a, s, b) = small_net();
         let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         let payload = Bytes::from(vec![7u8; 1000]);
-        net.send(vc, payload.clone()).unwrap();
+        net.send(vc, &[&payload]).unwrap();
         let deliveries = net.drain(SimTime::from_secs(1));
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].payload, payload);
@@ -1767,7 +1777,7 @@ mod tests {
     fn weathermap_covers_the_active_route() {
         let (mut net, a, s, b) = small_net();
         let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
-        net.send(vc, Bytes::from(vec![7u8; 100_000])).unwrap();
+        net.send(vc, &[&vec![7u8; 100_000]]).unwrap();
         let d = net.drain(SimTime::from_secs(1));
         assert_eq!(d.len(), 1);
         // Exactly the two forward hops carried cells; reverse links idle.
@@ -1804,7 +1814,7 @@ mod tests {
             let b = net.add_host("B");
             net.connect(a, b, profile);
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
-            net.send(vc, Bytes::from(vec![1u8; 100_000])).unwrap();
+            net.send(vc, &[&vec![1u8; 100_000]]).unwrap();
             let d = net.drain(SimTime::from_secs(3600));
             assert_eq!(d.len(), 1, "profile {profile:?}");
             lat.push(net.vc_stats(vc).unwrap().pdu_latency.mean());
@@ -1843,9 +1853,9 @@ mod tests {
         let bulk = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
         let live = net.open_vc(&[a, b], ServiceClass::Cbr, None).unwrap();
         // Saturate with bulk…
-        net.send(bulk, Bytes::from(vec![0u8; 4_000])).unwrap();
+        net.send(bulk, &[&vec![0u8; 4_000]]).unwrap();
         // …then a small CBR message right behind it.
-        net.send(live, Bytes::from(vec![1u8; 96])).unwrap();
+        net.send(live, &[&[1u8; 96]]).unwrap();
         net.drain(SimTime::from_secs(60));
         let bulk_lat = net.vc_stats(bulk).unwrap().pdu_latency.mean();
         let live_lat = net.vc_stats(live).unwrap().pdu_latency.mean();
@@ -1875,7 +1885,7 @@ mod tests {
         let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         // 10 kB → ~209 cells arriving at OC-3 speed into a 16-cell queue
         // drained at modem speed.
-        net.send(vc, Bytes::from(vec![0u8; 10_000])).unwrap();
+        net.send(vc, &[&vec![0u8; 10_000]]).unwrap();
         net.drain(SimTime::from_secs(600));
         let stats = net.vc_stats(vc).unwrap();
         assert!(stats.cells_dropped > 0, "overflow must drop");
@@ -1896,7 +1906,7 @@ mod tests {
         let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
         // 200 one-cell PDUs: each survives with p ≈ 0.95.
         for _ in 0..200 {
-            net.send(vc, Bytes::from(vec![1u8; 40])).unwrap();
+            net.send(vc, &[&[1u8; 40]]).unwrap();
         }
         net.drain(SimTime::from_secs(10));
         let stats = net.vc_stats(vc).unwrap();
@@ -1931,7 +1941,7 @@ mod tests {
             .open_vc(&[a, s, b], ServiceClass::Ubr, Some(contract))
             .unwrap();
         for _ in 0..50 {
-            net.send(rogue, Bytes::from(vec![0u8; 400])).unwrap();
+            net.send(rogue, &[&vec![0u8; 400]]).unwrap();
         }
         net.drain(SimTime::from_secs(600));
         let stats = net.vc_stats(rogue).unwrap();
@@ -1954,7 +1964,7 @@ mod tests {
         let vc = net
             .open_vc(&[a, s1, s2, b], ServiceClass::Vbr, None)
             .unwrap();
-        net.send(vc, Bytes::from(vec![5u8; 50_000])).unwrap();
+        net.send(vc, &[&vec![5u8; 50_000]]).unwrap();
         let d = net.drain(SimTime::from_secs(5));
         assert_eq!(d.len(), 1);
         assert!(net.link_utilization(a, s1).unwrap() > 0.0);
@@ -1979,7 +1989,7 @@ mod tests {
             );
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
             for _ in 0..100 {
-                net.send(vc, Bytes::from(vec![2u8; 96])).unwrap();
+                net.send(vc, &[&[2u8; 96]]).unwrap();
             }
             net.drain(SimTime::from_secs(10));
             let s = net.vc_stats(vc).unwrap();
@@ -2010,7 +2020,7 @@ mod tests {
             }
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
             for _ in 0..100 {
-                net.send(vc, Bytes::from(vec![2u8; 96])).unwrap();
+                net.send(vc, &[&[2u8; 96]]).unwrap();
             }
             net.drain(SimTime::from_secs(10));
             let s = net.vc_stats(vc).unwrap();
@@ -2033,7 +2043,7 @@ mod tests {
             net.set_fault_plan(FaultPlan::uniform(LinkFaults::loss(0.05)));
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
             for _ in 0..200 {
-                net.send(vc, Bytes::from(vec![1u8; 40])).unwrap();
+                net.send(vc, &[&[1u8; 40]]).unwrap();
             }
             net.drain(SimTime::from_secs(10));
             let s = net.vc_stats(vc).unwrap();
@@ -2056,7 +2066,7 @@ mod tests {
             LinkFaults::default().with_down(SimTime::ZERO, SimTime::from_secs(5)),
         ));
         let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
-        net.send(vc, Bytes::from(vec![1u8; 1000])).unwrap();
+        net.send(vc, &[&vec![1u8; 1000]]).unwrap();
         net.drain(SimTime::from_secs(2));
         assert_eq!(net.vc_stats(vc).unwrap().pdus_delivered, 0, "link is down");
         assert!(net.fault_stats().downtime_losses > 0);
@@ -2070,7 +2080,7 @@ mod tests {
         ));
         let vc2 = net2.open_vc(&[a2, b2], ServiceClass::Ubr, None).unwrap();
         net2.advance(SimTime::from_secs(1));
-        net2.send(vc2, Bytes::from(vec![1u8; 1000])).unwrap();
+        net2.send(vc2, &[&vec![1u8; 1000]]).unwrap();
         net2.drain(SimTime::from_secs(2));
         assert_eq!(net2.vc_stats(vc2).unwrap().pdus_delivered, 1);
     }
@@ -2086,7 +2096,7 @@ mod tests {
         ));
         let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
         for _ in 0..300 {
-            net.send(vc, Bytes::from(vec![1u8; 40])).unwrap();
+            net.send(vc, &[&[1u8; 40]]).unwrap();
         }
         net.drain(SimTime::from_secs(10));
         let stats = net.fault_stats();
@@ -2107,7 +2117,7 @@ mod tests {
             let b = net.add_host("B");
             net.connect(a, b, LinkProfile::atm_oc3());
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
-            net.send(vc, Bytes::from(vec![1u8; 10_000])).unwrap();
+            net.send(vc, &[&vec![1u8; 10_000]]).unwrap();
             net.drain(SimTime::from_secs(10));
             net.vc_stats(vc).unwrap().pdu_latency.mean()
         };
@@ -2120,7 +2130,7 @@ mod tests {
                 LinkFaults::default().with_jitter(SimDuration::from_millis(2)),
             ));
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
-            net.send(vc, Bytes::from(vec![1u8; 10_000])).unwrap();
+            net.send(vc, &[&vec![1u8; 10_000]]).unwrap();
             net.drain(SimTime::from_secs(10));
             assert!(net.fault_stats().jittered > 0);
             net.vc_stats(vc).unwrap().pdu_latency.mean()
@@ -2138,8 +2148,8 @@ mod tests {
         let vc2 = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         let p1 = Bytes::from(vec![1u8; 5_000]);
         let p2 = Bytes::from(vec![2u8; 5_000]);
-        net.send(vc1, p1.clone()).unwrap();
-        net.send(vc2, p2.clone()).unwrap();
+        net.send(vc1, &[&p1]).unwrap();
+        net.send(vc2, &[&p2]).unwrap();
         let d = net.drain(SimTime::from_secs(1));
         assert_eq!(d.len(), 2);
         for delivery in d {
@@ -2156,8 +2166,8 @@ mod tests {
         let (mut net, a, s, b) = small_net();
         let fwd = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         let rev = net.open_vc(&[b, s, a], ServiceClass::Ubr, None).unwrap();
-        net.send(fwd, Bytes::from_static(b"ping")).unwrap();
-        net.send(rev, Bytes::from_static(b"pong")).unwrap();
+        net.send(fwd, &[b"ping"]).unwrap();
+        net.send(rev, &[b"pong"]).unwrap();
         let d = net.drain(SimTime::from_secs(1));
         assert_eq!(d.len(), 2);
         assert!(d.iter().any(|x| x.node == b && x.payload == "ping"));

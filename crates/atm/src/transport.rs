@@ -11,7 +11,7 @@
 //! over a pair of opposed VCs. Both endpoints can send (full duplex).
 
 use crate::network::{AtmNetwork, Delivery, NetError, VcId};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use mits_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -24,6 +24,43 @@ const FT_ACK: u8 = 1;
 /// Per-segment header: type(1) + seq(4) + flags(1).
 const HDR: usize = 6;
 const FLAG_LAST_FRAG: u8 = 1;
+/// Most parts one message may be handed over as
+/// ([`ReliableChannel::send_message`]): a database response is a head
+/// and the stored media it carries, with room for one more.
+pub const MAX_PARTS: usize = 3;
+
+/// One data segment as the wire carries it: the header, then views into
+/// the message parts it covers, in order. The payload is never copied on
+/// the send side; a retransmission re-sends the same views.
+struct Segment {
+    hdr: [u8; HDR],
+    views: [Option<Bytes>; MAX_PARTS],
+}
+
+impl Segment {
+    fn seq(&self) -> u32 {
+        u32::from_be_bytes(self.hdr[1..5].try_into().expect("4 bytes"))
+    }
+
+    /// Transmit header and views as one gather list.
+    fn send(&self, net: &mut AtmNetwork, vc: VcId) -> Result<u64, NetError> {
+        let mut pdu: [&[u8]; 1 + MAX_PARTS] = [&[]; 1 + MAX_PARTS];
+        pdu[0] = &self.hdr;
+        for (slot, view) in pdu[1..].iter_mut().zip(&self.views) {
+            if let Some(view) = view {
+                *slot = view;
+            }
+        }
+        net.send(vc, &pdu)
+    }
+}
+
+/// A transmitted segment awaiting its cumulative ack.
+struct Unacked {
+    segment: Segment,
+    deadline: SimTime,
+    retries: u32,
+}
 
 /// Events surfaced to the application.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,18 +96,16 @@ pub struct ReliableChannel {
     timeout: SimDuration,
     // Sender state.
     next_seq: u32,
-    send_buffer: VecDeque<(u32, Bytes)>, // not yet admitted to window
-    unacked: BTreeMap<u32, (Bytes, SimTime, u32)>, // seq → (frame, deadline, retries)
-    msg_last_seq: VecDeque<(u32, u64)>,  // last seq of each message → msg index
+    send_buffer: VecDeque<Segment>,     // not yet admitted to window
+    unacked: VecDeque<Unacked>,         // in flight, in seq order
+    msg_last_seq: VecDeque<(u32, u64)>, // last seq of each message → msg index
     next_msg_id: u64,
     // Receiver state.
     rx_next: u32,
     rx_ooo: BTreeMap<u32, Bytes>, // out-of-order frames
-    rx_assembly: BytesMut,
-    /// Largest reassembled message so far — `freeze` gives the buffer
-    /// away, so the next message pre-reserves this much instead of
-    /// re-growing through doubling reallocations.
-    rx_high_water: usize,
+    /// Staging for multi-fragment messages, kept across messages so its
+    /// capacity is reused; each message leaves as one exact-size copy.
+    rx_assembly: Vec<u8>,
     /// Counters.
     pub stats: ChannelStats,
 }
@@ -86,28 +121,57 @@ impl ReliableChannel {
             timeout,
             next_seq: 0,
             send_buffer: VecDeque::new(),
-            unacked: BTreeMap::new(),
+            unacked: VecDeque::new(),
             msg_last_seq: VecDeque::new(),
             next_msg_id: 0,
             rx_next: 0,
             rx_ooo: BTreeMap::new(),
-            rx_assembly: BytesMut::new(),
-            rx_high_water: 0,
+            rx_assembly: Vec::new(),
             stats: ChannelStats::default(),
         }
     }
 
-    /// Queue a message for reliable delivery. Returns its message index
-    /// (reported back via [`TransportEvent::Sent`]).
-    pub fn send_message(&mut self, net: &mut AtmNetwork, msg: &[u8]) -> Result<u64, NetError> {
+    /// Queue a message for reliable delivery. The message is `parts`
+    /// concatenated in order (at most [`MAX_PARTS`]; empty parts are
+    /// fine); it is cut into the same segments as one buffer would be,
+    /// but each segment keeps views into the parts instead of a copy.
+    /// Returns its message index (reported back via
+    /// [`TransportEvent::Sent`]).
+    pub fn send_message(&mut self, net: &mut AtmNetwork, parts: &[Bytes]) -> Result<u64, NetError> {
+        assert!(
+            parts.len() <= MAX_PARTS,
+            "a message is at most {MAX_PARTS} parts"
+        );
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
-        let nfrags = msg.len().div_ceil(MSS).max(1);
-        for (i, chunk) in msg.chunks(MSS).enumerate() {
-            self.queue_segment(chunk, i == nfrags - 1);
-        }
-        if msg.is_empty() {
-            self.queue_segment(&[], true);
+        let len: usize = parts.iter().map(Bytes::len).sum();
+        let nfrags = len.div_ceil(MSS).max(1);
+        // Cursor into the parts: part index and offset within it.
+        let (mut part, mut off) = (0, 0);
+        for i in 0..nfrags {
+            let seq = self.next_seq;
+            self.next_seq = self.next_seq.wrapping_add(1);
+            let mut hdr = [FT_DATA, 0, 0, 0, 0, 0];
+            hdr[1..5].copy_from_slice(&seq.to_be_bytes());
+            hdr[5] = if i == nfrags - 1 { FLAG_LAST_FRAG } else { 0 };
+            let mut views: [Option<Bytes>; MAX_PARTS] = Default::default();
+            let mut want = MSS.min(len - i * MSS);
+            let mut k = 0;
+            while want > 0 {
+                let p = &parts[part];
+                let take = (p.len() - off).min(want);
+                if take > 0 {
+                    views[k] = Some(p.slice(off..off + take));
+                    k += 1;
+                }
+                off += take;
+                want -= take;
+                if off == p.len() {
+                    part += 1;
+                    off = 0;
+                }
+            }
+            self.send_buffer.push_back(Segment { hdr, views });
         }
         self.msg_last_seq
             .push_back((self.next_seq.wrapping_sub(1), msg_id));
@@ -115,27 +179,20 @@ impl ReliableChannel {
         Ok(msg_id)
     }
 
-    fn queue_segment(&mut self, payload: &[u8], last: bool) {
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        let mut frame = BytesMut::with_capacity(HDR + payload.len());
-        frame.put_u8(FT_DATA);
-        frame.put_u32(seq);
-        frame.put_u8(if last { FLAG_LAST_FRAG } else { 0 });
-        frame.put_slice(payload);
-        self.send_buffer.push_back((seq, frame.freeze()));
-    }
-
     /// Admit buffered segments to the window and transmit them.
     fn pump(&mut self, net: &mut AtmNetwork) -> Result<(), NetError> {
         let now = net.now();
         while self.unacked.len() < self.window {
-            let Some((seq, frame)) = self.send_buffer.pop_front() else {
+            let Some(segment) = self.send_buffer.pop_front() else {
                 break;
             };
-            net.send(self.out_vc, frame.clone())?;
+            segment.send(net, self.out_vc)?;
             self.stats.segments_tx += 1;
-            self.unacked.insert(seq, (frame, now + self.timeout, 0));
+            self.unacked.push_back(Unacked {
+                segment,
+                deadline: now + self.timeout,
+                retries: 0,
+            });
         }
         Ok(())
     }
@@ -167,9 +224,8 @@ impl ReliableChannel {
         }
         let cum = u32::from_be_bytes(frame[1..5].try_into().expect("4 bytes"));
         // Cumulative: everything below `cum` is acknowledged.
-        let acked: Vec<u32> = self.unacked.range(..cum).map(|(s, _)| *s).collect();
-        for s in acked {
-            self.unacked.remove(&s);
+        while self.unacked.front().is_some_and(|u| u.segment.seq() < cum) {
+            self.unacked.pop_front();
         }
         let mut events = Vec::new();
         while let Some((last_seq, msg_id)) = self.msg_last_seq.front().copied() {
@@ -207,10 +263,9 @@ impl ReliableChannel {
             self.stats.duplicates += 1;
         }
         // Ack the highest in-order point.
-        let mut ack = BytesMut::with_capacity(5);
-        ack.put_u8(FT_ACK);
-        ack.put_u32(self.rx_next);
-        net.send(self.out_vc, ack.freeze())?;
+        let mut ack = [FT_ACK, 0, 0, 0, 0];
+        ack[1..].copy_from_slice(&self.rx_next.to_be_bytes());
+        net.send(self.out_vc, &[&ack])?;
         self.stats.acks_tx += 1;
         Ok(events)
     }
@@ -225,13 +280,10 @@ impl ReliableChannel {
             events.push(TransportEvent::Message(body.slice(1..)));
             return;
         }
-        if self.rx_assembly.is_empty() {
-            self.rx_assembly.reserve(self.rx_high_water);
-        }
         self.rx_assembly.extend_from_slice(&body[1..]);
         if flags & FLAG_LAST_FRAG != 0 {
-            self.rx_high_water = self.rx_high_water.max(self.rx_assembly.len());
-            let msg = std::mem::take(&mut self.rx_assembly).freeze();
+            let msg = Bytes::copy_from_slice(&self.rx_assembly);
+            self.rx_assembly.clear();
             events.push(TransportEvent::Message(msg));
         }
     }
@@ -246,30 +298,20 @@ impl ReliableChannel {
     /// Retransmit timed-out segments. Call whenever the clock advances.
     pub fn on_tick(&mut self, net: &mut AtmNetwork) -> Result<(), NetError> {
         let now = net.now();
-        let expired: Vec<u32> = self
-            .unacked
-            .iter()
-            .filter(|(_, (_, deadline, _))| *deadline <= now)
-            .map(|(s, _)| *s)
-            .collect();
-        for seq in expired {
-            let (frame, _, retries) = self.unacked.get(&seq).expect("present").clone();
-            // `frame` is a Bytes view — this clone is a refcount bump, not
-            // a copy of the segment.
-            net.send(self.out_vc, frame.clone())?;
+        for u in self.unacked.iter_mut().filter(|u| u.deadline <= now) {
+            u.segment.send(net, self.out_vc)?;
             self.stats.segments_tx += 1;
             self.stats.retransmissions += 1;
             // Exponential backoff on the retransmission timer.
-            let backoff = self.timeout * (1u64 << retries.min(6));
-            self.unacked
-                .insert(seq, (frame, now + backoff, retries + 1));
+            u.deadline = now + self.timeout * (1u64 << u.retries.min(6));
+            u.retries += 1;
         }
         Ok(())
     }
 
     /// Earliest retransmission deadline (drive your advance loop to it).
     pub fn next_timeout(&self) -> Option<SimTime> {
-        self.unacked.values().map(|(_, d, _)| *d).min()
+        self.unacked.iter().map(|u| u.deadline).min()
     }
 
     /// True when nothing is pending on the send side.
@@ -283,6 +325,7 @@ mod tests {
     use super::*;
     use crate::link::{LinkProfile, ServiceClass};
     use crate::network::AtmNetwork;
+    use std::sync::Arc;
 
     struct Pair {
         net: AtmNetwork,
@@ -331,13 +374,45 @@ mod tests {
     fn message_crosses_clean_link() {
         let mut p = pair_over(LinkProfile::atm_oc3(), 1);
         let msg = vec![42u8; 30_000]; // 4 fragments
-        let id = p.a.send_message(&mut p.net, &msg).unwrap();
+        let id =
+            p.a.send_message(&mut p.net, &[Bytes::from(msg.clone())])
+                .unwrap();
         let (ea, eb) = run(&mut p, SimTime::from_secs(10));
         assert!(eb
             .iter()
             .any(|e| matches!(e, TransportEvent::Message(m) if m[..] == msg[..])));
         assert!(ea.contains(&TransportEvent::Sent(id)));
         assert_eq!(p.a.stats.retransmissions, 0, "clean link needs no ARQ");
+    }
+
+    #[test]
+    fn segments_view_the_message_parts_instead_of_copying() {
+        let mut p = pair_over(LinkProfile::atm_oc3(), 1);
+        let head = Bytes::from(vec![1u8; 60]);
+        let body = Bytes::from(vec![2u8; 200 * 1024]);
+        p.a.send_message(&mut p.net, &[head.clone(), body.clone()])
+            .unwrap();
+        let queued = p.a.send_buffer.iter();
+        let segments: Vec<&Segment> = queued
+            .chain(p.a.unacked.iter().map(|u| &u.segment))
+            .collect();
+        assert_eq!(segments.len(), (60 + 200 * 1024usize).div_ceil(MSS));
+        assert!(!p.a.send_buffer.is_empty() && !p.a.unacked.is_empty());
+        let is = |v: &Bytes, part: &Bytes| Arc::ptr_eq(v.shared(), part.shared());
+        for seg in segments {
+            let mut views = seg.views.iter().flatten();
+            assert!(
+                views.clone().any(|v| is(v, &body)),
+                "segment {} does not view the body",
+                seg.seq()
+            );
+            assert!(views.all(|v| is(v, &body) || is(v, &head)));
+        }
+        let (_, eb) = run(&mut p, SimTime::from_secs(10));
+        let msg = [&head[..], &body[..]].concat();
+        assert!(eb
+            .iter()
+            .any(|e| matches!(e, TransportEvent::Message(m) if m[..] == msg[..])));
     }
 
     #[test]
@@ -358,7 +433,8 @@ mod tests {
         };
         let mut p = pair_over(profile, 7);
         let msg: Vec<u8> = (0..200_000usize).map(|i| (i % 253) as u8).collect();
-        p.a.send_message(&mut p.net, &msg).unwrap();
+        p.a.send_message(&mut p.net, &[Bytes::from(msg.clone())])
+            .unwrap();
         let (_, eb) = run(&mut p, SimTime::from_secs(60));
         let delivered = eb.iter().find_map(|e| match e {
             TransportEvent::Message(m) => Some(m.clone()),
@@ -379,7 +455,8 @@ mod tests {
             3,
         );
         for i in 0..20u8 {
-            p.a.send_message(&mut p.net, &vec![i; 2_000]).unwrap();
+            p.a.send_message(&mut p.net, &[Bytes::from(vec![i; 2_000])])
+                .unwrap();
         }
         let (_, eb) = run(&mut p, SimTime::from_secs(60));
         let messages: Vec<Bytes> = eb
@@ -398,8 +475,10 @@ mod tests {
     #[test]
     fn full_duplex() {
         let mut p = pair_over(LinkProfile::atm_oc3(), 5);
-        p.a.send_message(&mut p.net, b"from A").unwrap();
-        p.b.send_message(&mut p.net, b"from B").unwrap();
+        p.a.send_message(&mut p.net, &[Bytes::from_static(b"from A")])
+            .unwrap();
+        p.b.send_message(&mut p.net, &[Bytes::from_static(b"from B")])
+            .unwrap();
         let (ea, eb) = run(&mut p, SimTime::from_secs(5));
         assert!(eb
             .iter()
@@ -419,7 +498,8 @@ mod tests {
         let ba = net.open_vc(&[hb, ha], ServiceClass::Ubr, None).unwrap();
         let mut a = ReliableChannel::new(ab, ba, 2, SimDuration::from_secs(30));
         // 10 fragments, window 2: only 2 transmitted initially.
-        a.send_message(&mut net, &vec![0u8; MSS * 10]).unwrap();
+        a.send_message(&mut net, &[Bytes::from(vec![0u8; MSS * 10])])
+            .unwrap();
         assert_eq!(a.stats.segments_tx, 2);
         assert!(!a.send_idle());
     }
@@ -434,7 +514,8 @@ mod tests {
         let mut p = pair_over(profile, 2);
         // Timeout (50 ms) < RTT (200 ms): every segment retransmits at
         // least once.
-        p.a.send_message(&mut p.net, b"dup test").unwrap();
+        p.a.send_message(&mut p.net, &[Bytes::from_static(b"dup test")])
+            .unwrap();
         let (_, eb) = run(&mut p, SimTime::from_secs(10));
         let delivered = eb
             .iter()

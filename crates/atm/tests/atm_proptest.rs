@@ -186,7 +186,7 @@ proptest! {
             .map(|(i, &n)| Bytes::from(vec![(i % 251) as u8; n]))
             .collect();
         for p in &payloads {
-            net.send(vc, p.clone()).unwrap();
+            net.send(vc, &[p]).unwrap();
         }
         let deliveries = net.drain(SimTime::from_secs(60));
         prop_assert_eq!(deliveries.len(), payloads.len());
@@ -218,7 +218,7 @@ proptest! {
         let mut tx = ReliableChannel::new(up, down, 4, timeout);
         let mut rx = ReliableChannel::new(down, up, 4, timeout);
         for i in 0..n_msgs {
-            tx.send_message(&mut net, &vec![i as u8; msg_len]).unwrap();
+            tx.send_message(&mut net, &[Bytes::from(vec![i as u8; msg_len])]).unwrap();
         }
         let mut got: Vec<Bytes> = Vec::new();
         let deadline = SimTime::from_secs(600);

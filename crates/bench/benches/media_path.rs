@@ -4,7 +4,6 @@
 //! number. Stage names carry the `net.` prefix the flame profiler
 //! (`tables --exp obs`) uses to attribute time to the atm layer.
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mits_atm::aal5::{cells_for, crc32, crc32_slice16, crc32_slice8, reassemble_run, segment_run};
 use mits_atm::{reassemble, segment, AtmNetwork, LinkProfile, ServiceClass};
@@ -78,7 +77,7 @@ fn bench_media_path(c: &mut Criterion) {
                 net.connect(a, s, LinkProfile::atm_oc3());
                 net.connect(s, d, LinkProfile::atm_oc3());
                 let vc = net.open_vc(&[a, s, d], ServiceClass::Ubr, None).unwrap();
-                net.send(vc, Bytes::from(payload.clone())).unwrap();
+                net.send(vc, &[&payload]).unwrap();
                 let deliveries = net.drain(SimTime::from_secs(10));
                 assert_eq!(deliveries.len(), 1);
             })

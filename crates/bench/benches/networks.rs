@@ -1,7 +1,6 @@
 //! E-BB: cell-level delivery across the four link profiles, and raw
 //! switch forwarding throughput.
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mits_atm::{AtmNetwork, LinkProfile, ServiceClass};
 use mits_core::stream::{profile_name, stream_video_over};
@@ -45,7 +44,7 @@ fn bench_networks(c: &mut Criterion) {
             net.connect(a, s, LinkProfile::atm_oc3());
             net.connect(s, d, LinkProfile::atm_oc3());
             let vc = net.open_vc(&[a, s, d], ServiceClass::Ubr, None).unwrap();
-            net.send(vc, Bytes::from(vec![0u8; 1 << 20])).unwrap();
+            net.send(vc, &[&vec![0u8; 1 << 20]]).unwrap();
             let deliveries = net.drain(SimTime::from_secs(10));
             assert_eq!(deliveries.len(), 1);
         })

@@ -71,7 +71,7 @@ pub fn stream_video_over(
         let mut payload = BytesMut::with_capacity(e.bytes.max(8));
         payload.put_u64(i as u64);
         payload.resize(e.bytes.max(8), 0);
-        net.send(vc, payload.freeze()).expect("vc open");
+        net.send(vc, &[&payload]).expect("vc open");
         deadline_of.insert(i as u64, SimTime::ZERO + prebuffer + e.at);
     }
     deliveries.extend(net.drain(SimTime::ZERO + duration + SimDuration::from_secs(3600)));
@@ -140,7 +140,7 @@ pub fn stream_audio_over(
         let mut payload = BytesMut::with_capacity(e.bytes.max(8));
         payload.put_u64(i as u64);
         payload.resize(e.bytes.max(8), 0);
-        net.send(vc, payload.freeze()).expect("vc open");
+        net.send(vc, &[&payload]).expect("vc open");
         deadline_of.insert(i as u64, at + prebuffer);
     }
     deliveries.extend(net.drain(SimTime::ZERO + duration + SimDuration::from_secs(3600)));

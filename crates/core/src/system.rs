@@ -11,8 +11,8 @@
 
 use bytes::Bytes;
 use mits_atm::{
-    AtmNetwork, CrashSchedule, FaultKind, FaultPlan, LinkProfile, NetError, NetScratch, NodeId,
-    ReliableChannel, ServiceClass, TransportEvent, VcId,
+    AtmNetwork, CrashSchedule, Delivery, FaultKind, FaultPlan, LinkProfile, NetError, NetScratch,
+    NodeId, ReliableChannel, ServiceClass, TransportEvent, VcId,
 };
 use mits_db::{
     merge_doc_ids, merge_doc_lists, peek_req_id, peek_response_trace, read_snapshot, wal,
@@ -272,8 +272,9 @@ struct ServerNode {
     db: DbServer,
     /// Server side of each endpoint's channel pair.
     chans: Vec<ReliableChannel>,
-    /// Responses queued per endpoint, ready at their service time.
-    ready: Vec<VecDeque<(SimTime, Bytes)>>,
+    /// Responses queued per endpoint, ready at their service time, as
+    /// the encoded head and body parts (see [`Response::encode_parts`]).
+    ready: Vec<VecDeque<(SimTime, Bytes, Option<Bytes>)>>,
     /// Single service centre: requests queue behind each other (F3.5
     /// contention) — and behind recovery replay after a restart.
     busy_until: SimTime,
@@ -337,6 +338,8 @@ pub struct MitsSystem {
     /// When each queued response becomes ready, keyed by (endpoint,
     /// req_id) — consumed on delivery to stamp the downlink hop span.
     resp_meta: BTreeMap<(usize, u64), SimTime>,
+    /// The pump's delivery buffer, reused by every step.
+    deliveries: Vec<Delivery>,
 }
 
 /// A courseware published once and mountable into any number of fresh
@@ -546,6 +549,7 @@ impl MitsSystem {
             metrics: scratch.metrics.unwrap_or_default(),
             flight,
             resp_meta: BTreeMap::new(),
+            deliveries: Vec::new(),
         })
     }
 
@@ -753,7 +757,7 @@ impl MitsSystem {
                 fold(ch.next_timeout());
             }
             for q in &s.ready {
-                fold(q.front().map(|(t, _)| *t));
+                fold(q.front().map(|(t, ..)| *t));
             }
         }
         // Scheduled crashes/restarts and checkpoint cadence.
@@ -771,10 +775,14 @@ impl MitsSystem {
             for i in 0..self.servers[s].ready.len() {
                 while self.servers[s].ready[i]
                     .front()
-                    .is_some_and(|(t, _)| *t <= now)
+                    .is_some_and(|(t, ..)| *t <= now)
                 {
-                    let (_, frame) = self.servers[s].ready[i].pop_front().expect("checked");
-                    self.servers[s].chans[i].send_message(&mut self.net, &frame)?;
+                    let (_, head, body) = self.servers[s].ready[i].pop_front().expect("checked");
+                    let chan = &mut self.servers[s].chans[i];
+                    match body {
+                        Some(body) => chan.send_message(&mut self.net, &[head, body])?,
+                        None => chan.send_message(&mut self.net, &[head])?,
+                    };
                 }
             }
         }
@@ -799,7 +807,7 @@ impl MitsSystem {
             }
             for f in frames {
                 if let Some(ch) = self.servers[p].rep_chan.as_mut() {
-                    ch.send_message(&mut self.net, &f)?;
+                    ch.send_message(&mut self.net, &[f])?;
                 }
             }
         }
@@ -1081,7 +1089,7 @@ impl MitsSystem {
                             .copied()
                             .unwrap_or(0);
                         let active = self.endpoints[i].active[shard];
-                        self.endpoints[i].chans[active].send_message(&mut self.net, &frame)?;
+                        self.endpoints[i].chans[active].send_message(&mut self.net, &[frame])?;
                     }
                     ClientAction::Expired { req_id, error, .. } => {
                         self.endpoints[i].req_shard.remove(&req_id);
@@ -1152,7 +1160,8 @@ impl MitsSystem {
                 Some(t) if t <= deadline => t.max(self.net.now()),
                 _ => deadline,
             };
-            let deliveries = self.net.advance_until_delivery(step_to);
+            let mut deliveries = std::mem::take(&mut self.deliveries);
+            self.net.advance_until_delivery(step_to, &mut deliveries);
             for d in &deliveries {
                 // Server side. Cells addressed to a down server die with
                 // it — the process that owned the VC no longer exists.
@@ -1214,6 +1223,10 @@ impl MitsSystem {
                     }
                 }
             }
+            // Drop the payload views before the buffer is reused, so
+            // their run images can return to the network's pool.
+            deliveries.clear();
+            self.deliveries = deliveries;
             for e in &mut self.endpoints {
                 for chan in &mut e.chans {
                     chan.on_tick(&mut self.net)?;
@@ -1248,7 +1261,7 @@ impl MitsSystem {
             .ready
             .iter()
             .flat_map(|q| q.iter())
-            .filter(|(t, _)| *t > now)
+            .filter(|(t, ..)| *t > now)
             .count();
         let shed = node.db.overload_threshold().is_some_and(|l| depth >= l);
         if shed {
@@ -1273,8 +1286,8 @@ impl MitsSystem {
             node.busy_until
         };
         let epoch = node.db.epoch();
-        let resp_frame = resp.encode_with_epoch_traced(env.req_id, epoch, env.trace);
-        node.ready[peer].push_back((ready_at, resp_frame));
+        let (head, body) = resp.encode_parts(env.req_id, epoch, env.trace);
+        node.ready[peer].push_back((ready_at, head, body));
         // Hop + service spans nest under the client's request span, which
         // rode in on the wire's trace field.
         if let Some(parent) = SpanId::from_wire(env.trace) {
@@ -1338,7 +1351,7 @@ impl MitsSystem {
         self.endpoints[index].req_shard.insert(req_id, shard);
         self.requests_sent += 1;
         let active = self.endpoints[index].active[shard];
-        self.endpoints[index].chans[active].send_message(&mut self.net, &frame)?;
+        self.endpoints[index].chans[active].send_message(&mut self.net, &[frame])?;
         let deadline = started + timeout;
         loop {
             // Check inbox.
@@ -1386,7 +1399,7 @@ impl MitsSystem {
             self.endpoints[index].req_shard.insert(req_id, shard);
             self.requests_sent += 1;
             let active = self.endpoints[index].active[shard];
-            self.endpoints[index].chans[active].send_message(&mut self.net, &frame)?;
+            self.endpoints[index].chans[active].send_message(&mut self.net, &[frame])?;
             self.scatter_legs[shard] += 1;
             ids.push(req_id);
         }
@@ -1833,7 +1846,7 @@ impl MitsSystem {
             self.endpoints[c.0].req_shard.insert(req_id, shard);
             self.requests_sent += 1;
             let active = self.endpoints[c.0].active[shard];
-            self.endpoints[c.0].chans[active].send_message(&mut self.net, &frame)?;
+            self.endpoints[c.0].chans[active].send_message(&mut self.net, &[frame])?;
             ids.push(req_id);
         }
         let deadline = started + Self::default_timeout();

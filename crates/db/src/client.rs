@@ -471,6 +471,9 @@ pub struct DbClient {
     /// call — the failover signal, scoped so the driver can rotate only
     /// the shard groups that actually went quiet.
     timed_out: Vec<u64>,
+    /// [`DbClient::poll`]'s sorted snapshot of the pending ids, kept so
+    /// each poll reuses its capacity.
+    poll_ids: Vec<u64>,
     /// Object/content cache.
     pub cache: ClientCache,
     /// Requests that went to the network (cache misses + explicit calls).
@@ -506,6 +509,7 @@ impl DbClient {
             last_epoch: 0,
             floors: HashMap::new(),
             timed_out: Vec::new(),
+            poll_ids: Vec::new(),
             cache: ClientCache::new(cache_bytes),
             network_requests: 0,
             metrics: DbClientMetrics::default(),
@@ -845,10 +849,12 @@ impl DbClient {
     /// [`DbClient::next_wakeup`].
     pub fn poll(&mut self, now: SimTime) -> Vec<ClientAction> {
         self.timed_out.clear();
-        let mut ids: Vec<u64> = self.pending.keys().copied().collect();
+        let mut ids = std::mem::take(&mut self.poll_ids);
+        ids.clear();
+        ids.extend(self.pending.keys().copied());
         ids.sort_unstable();
         let mut actions = Vec::new();
-        for id in ids {
+        for &id in &ids {
             let p = self.pending.get_mut(&id).expect("key from map");
             if now >= p.deadline {
                 let p = self.pending.remove(&id).expect("key from map");
@@ -924,6 +930,7 @@ impl DbClient {
                 });
             }
         }
+        self.poll_ids = ids;
         actions
     }
 

@@ -384,14 +384,21 @@ fn truncated() -> DbError {
     DbError::Malformed("truncated".into())
 }
 
-fn write_media(w: &mut W, m: &MediaObject) {
+/// Every media field up to and including the data's length prefix: the
+/// data itself follows on the wire.
+fn write_media_head(w: &mut W, m: &MediaObject) {
     w.u64(m.id.0);
     w.str(&m.name);
     w.u8(m.format.wire_tag());
     w.u64(m.duration.as_micros());
     w.u32(m.dims.width);
     w.u32(m.dims.height);
-    w.bytes(&m.data);
+    w.u32(m.data.len() as u32);
+}
+
+fn write_media(w: &mut W, m: &MediaObject) {
+    write_media_head(w, m);
+    w.0.put_slice(&m.data);
 }
 
 fn read_media(r: &mut R<'_>) -> DR<MediaObject> {
@@ -559,14 +566,30 @@ impl Response {
     }
 
     /// Encode an enveloped response stamped with the failover `epoch`
+    /// and echoing the request's trace context (0 = untraced), as one
+    /// buffer: the concatenation of [`Response::encode_parts`].
+    pub fn encode_with_epoch_traced(&self, req_id: u64, epoch: u64, trace: u64) -> Bytes {
+        match self.encode_parts(req_id, epoch, trace) {
+            (head, None) => head,
+            (head, Some(body)) => Bytes::from([&head[..], &body[..]].concat()),
+        }
+    }
+
+    /// Encode an enveloped response stamped with the failover `epoch`
     /// and echoing the request's trace context (0 = untraced). The
     /// trace rides after the epoch so [`peek_response_trace`] can read
     /// it without decoding the body.
-    pub fn encode_with_epoch_traced(&self, req_id: u64, epoch: u64, trace: u64) -> Bytes {
+    ///
+    /// The frame comes back in two parts that the wire carries in order:
+    /// a small head and, for [`Response::Content`], a body that is the
+    /// stored media itself — a view of [`MediaObject::data`], so serving
+    /// a clip copies none of it. Every other response is all head.
+    pub fn encode_parts(&self, req_id: u64, epoch: u64, trace: u64) -> (Bytes, Option<Bytes>) {
         let mut w = W::new();
         w.u64(req_id);
         w.u64(epoch);
         w.u64(trace);
+        let mut body = None;
         match self {
             Response::DocList(list) => {
                 w.u8(1);
@@ -585,7 +608,8 @@ impl Response {
             }
             Response::Content(m) => {
                 w.u8(3);
-                write_media(&mut w, m);
+                write_media_head(&mut w, m);
+                body = Some(m.data.clone());
             }
             Response::KeywordTree(t) => {
                 w.u8(4);
@@ -623,7 +647,7 @@ impl Response {
                 }
             }
         }
-        w.fin()
+        (w.fin(), body)
     }
 
     /// Decode an enveloped response, discarding the epoch stamp.
@@ -708,6 +732,7 @@ impl Response {
 mod tests {
     use super::*;
     use mits_mheg::{ClassLibrary, GenericValue};
+    use std::sync::Arc;
 
     fn sample_object() -> MhegObject {
         let mut lib = ClassLibrary::new(4);
@@ -785,6 +810,25 @@ mod tests {
             assert_eq!(env.req_id, 100 + i as u64);
             assert_eq!(env.body, resp);
         }
+    }
+
+    #[test]
+    fn content_body_is_the_stored_media() {
+        let media = MediaObject::new(
+            MediaId(7),
+            "lecture.mpg",
+            MediaFormat::Mpeg,
+            SimDuration::from_secs(30),
+            VideoDims::new(320, 240),
+            Bytes::from(vec![9u8; 200 * 1024]),
+        );
+        let resp = Response::Content(media.clone());
+        let (head, body) = resp.encode_parts(1, 2, 3);
+        let body = body.expect("content carries a body");
+        assert!(Arc::ptr_eq(body.shared(), media.data.shared()));
+        assert_eq!(body.shared_range(), media.data.shared_range());
+        assert!(head.len() < 128, "head is {} bytes", head.len());
+        assert_eq!(Response::Ack.encode_parts(1, 2, 3).1, None);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! noise; the keyword tree survives its wire form.
 
 use bytes::Bytes;
+use mits_db::index::KeywordNode;
 use mits_db::{peek_req_id, DbError, KeywordTree, Request, Response};
 use mits_media::{MediaFormat, MediaId, MediaObject, VideoDims};
-use mits_mheg::{ClassLibrary, GenericValue, MhegId};
+use mits_mheg::{encode_object, ClassLibrary, GenericValue, MhegId, WireFormat};
 use mits_sim::SimDuration;
 use proptest::prelude::*;
 
@@ -71,8 +72,123 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
+fn arb_objects() -> impl Strategy<Value = Response> {
+    prop::collection::vec(("[ -~]{0,12}", any::<i64>()), 0..4).prop_map(|values| {
+        let mut lib = ClassLibrary::new(1);
+        let objects = values
+            .into_iter()
+            .map(|(name, v)| {
+                let id = lib.value_content(&name, GenericValue::Int(v));
+                lib.get(id).unwrap().clone()
+            })
+            .collect();
+        Response::Objects(objects)
+    })
+}
+
+/// The single-buffer response encoding, written out field by field from
+/// the wire format: the reference that [`Response::encode_parts`] must
+/// reproduce as head followed by body.
+fn encode_ref(resp: &Response, req_id: u64, epoch: u64, trace: u64) -> Vec<u8> {
+    fn bytes(w: &mut Vec<u8>, b: &[u8]) {
+        w.extend((b.len() as u32).to_be_bytes());
+        w.extend(b);
+    }
+    fn id(w: &mut Vec<u8>, id: MhegId) {
+        w.extend(id.app.to_be_bytes());
+        w.extend(id.num.to_be_bytes());
+    }
+    fn node(w: &mut Vec<u8>, n: &KeywordNode) {
+        w.extend((n.documents.len() as u32).to_be_bytes());
+        for d in &n.documents {
+            id(w, *d);
+        }
+        w.extend((n.children.len() as u32).to_be_bytes());
+        for (name, child) in &n.children {
+            bytes(w, name.as_bytes());
+            node(w, child);
+        }
+    }
+    let mut w = Vec::new();
+    for v in [req_id, epoch, trace] {
+        w.extend(v.to_be_bytes());
+    }
+    match resp {
+        Response::DocList(list) => {
+            w.push(1);
+            w.extend((list.len() as u32).to_be_bytes());
+            for (d, name) in list {
+                id(&mut w, *d);
+                bytes(&mut w, name.as_bytes());
+            }
+        }
+        Response::Objects(objs) => {
+            w.push(2);
+            w.extend((objs.len() as u32).to_be_bytes());
+            for o in objs {
+                bytes(&mut w, &encode_object(o, WireFormat::Tlv));
+            }
+        }
+        Response::Content(m) => {
+            w.push(3);
+            w.extend(m.id.0.to_be_bytes());
+            bytes(&mut w, m.name.as_bytes());
+            w.push(m.format.wire_tag());
+            w.extend(m.duration.as_micros().to_be_bytes());
+            w.extend(m.dims.width.to_be_bytes());
+            w.extend(m.dims.height.to_be_bytes());
+            bytes(&mut w, &m.data);
+        }
+        Response::KeywordTree(t) => {
+            w.push(4);
+            node(&mut w, t.root());
+        }
+        Response::DocIds(ids) => {
+            w.push(5);
+            w.extend((ids.len() as u32).to_be_bytes());
+            for d in ids {
+                id(&mut w, *d);
+            }
+        }
+        Response::Ack => w.push(6),
+        Response::Err(e) => {
+            w.push(7);
+            let (kind, msg) = match e {
+                DbError::NotFound(s) => (1, s.as_str()),
+                DbError::Malformed(s) => (2, s.as_str()),
+                DbError::Unavailable(s) => (3, s.as_str()),
+                DbError::UnexpectedResponse(want) => (2, *want),
+            };
+            w.push(kind);
+            bytes(&mut w, msg.as_bytes());
+        }
+    }
+    w
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Head then body is the single-buffer encoding, byte for byte, for
+    /// every response variant; only `Content` has a body; and the frame
+    /// decodes back to the response.
+    #[test]
+    fn response_parts_are_the_single_buffer_encoding(
+        resp in prop_oneof![arb_response(), arb_objects()],
+        req_id in any::<u64>(),
+        epoch in any::<u64>(),
+        trace in any::<u64>(),
+    ) {
+        let (head, body) = resp.encode_parts(req_id, epoch, trace);
+        prop_assert_eq!(body.is_some(), matches!(resp, Response::Content(_)));
+        let mut wire = head.to_vec();
+        wire.extend_from_slice(body.as_deref().unwrap_or_default());
+        prop_assert_eq!(&wire, &encode_ref(&resp, req_id, epoch, trace));
+        prop_assert_eq!(&resp.encode_with_epoch_traced(req_id, epoch, trace)[..], &wire[..]);
+        let (env, got_epoch) = Response::decode_with_epoch(&wire).expect("decode");
+        prop_assert_eq!((env.req_id, env.trace, got_epoch), (req_id, trace, epoch));
+        prop_assert_eq!(env.body, resp);
+    }
 
     #[test]
     fn requests_round_trip(req in arb_request(), req_id in any::<u64>()) {
