@@ -5,7 +5,7 @@
 //! (`tables --exp obs`) uses to attribute time to the atm layer.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mits_atm::aal5::{cells_for, crc32, crc32_slice16, crc32_slice8, reassemble_run, segment_run};
+use mits_atm::aal5::{cells_for, crc32, crc32_slice16, reassemble_run, segment_run};
 use mits_atm::{reassemble, segment, AtmNetwork, LinkProfile, ServiceClass};
 use mits_sim::SimTime;
 
@@ -25,9 +25,6 @@ fn bench_media_path(c: &mut Criterion) {
     // lane lost, table rebuilt) shows up against its fallbacks.
     group.bench_function("net.aal5.crc32_64KiB", |b| {
         b.iter(|| crc32(criterion::black_box(&payload)))
-    });
-    group.bench_function("net.aal5.crc32_slice8_64KiB", |b| {
-        b.iter(|| crc32_slice8(criterion::black_box(&payload)))
     });
     group.bench_function("net.aal5.crc32_slice16_64KiB", |b| {
         b.iter(|| crc32_slice16(criterion::black_box(&payload)))

@@ -1,27 +1,30 @@
 //! Regenerate every table and figure of the MITS evaluation
 //! (`DESIGN.md` §4, recorded in `EXPERIMENTS.md`).
 //!
-//! Usage:
-//!   cargo run -p mits-bench --bin tables            # all experiments
-//!   cargo run -p mits-bench --bin tables -- --exp e_bb
-//!   cargo run -p mits-bench --bin tables -- --exp campus   # scale run,
-//!       writes BENCH_campus.json (override path with MITS_CAMPUS_OUT;
-//!       size with MITS_CAMPUS_STUDENTS / MITS_CAMPUS_THREADS)
-//!   cargo run -p mits-bench --bin tables -- --exp slo      # campus SLO
-//!       verdicts (size with MITS_SLO_STUDENTS / MITS_SLO_THREADS;
-//!       MITS_SLO_OUT writes the verdict JSON to a file)
-//!   cargo run -p mits-bench --bin tables -- --exp shards   # fault-storm
-//!       survival gate + edge-cached flash crowd, writes
-//!       BENCH_shards.json (override with MITS_SHARDS_OUT; size with
-//!       MITS_SHARDS / MITS_SHARDS_STUDENTS / MITS_SHARDS_VICTIM)
-//!   cargo run -p mits-bench --bin tables -- --exp forensics # storm
-//!       campaign incident bundles + timeline render, writes
-//!       BENCH_forensics.json (override with MITS_FORENSICS_OUT; size
-//!       with MITS_FORENSICS_STUDENTS / MITS_FORENSICS_SHARDS)
-//!   cargo run -p mits-bench --bin tables -- --exp media     # media-path
-//!       stage throughput (CRC kernels, AAL5, cell trains vs per-cell,
-//!       end-to-end fetch), writes BENCH_media.json (override with
-//!       MITS_MEDIA_OUT)
+//! ```text
+//! cargo run -p mits-bench --bin tables --release -- [--exp NAME] [FLAG VALUE]...
+//!
+//! --exp NAME           run one experiment; without it, every paper table
+//!                      (t5_1 .. obs). The scale experiments campus, slo,
+//!                      shards, forensics, replay and media run only by name.
+//! --students N         campus sessions        [campus 10000, slo 16, storm 9]
+//! --threads N          campus worker threads  [campus max(cores, 2), slo 4, storm 2]
+//!                      (1-thread reference legs stay at 1)
+//! --clips N            clips per courseware   [2]
+//! --clip-bytes N       bytes per clip         [campus, slo 65536; storm 300000]
+//! --shards N           storm shards, >= 2     [3]
+//! --victim N           storm victim shard     [1]
+//! --max-concurrent N   admission window, 0 = one per worker  [0]
+//! --flight-ring N      flight-recorder ring cap, 0 = default  [0]
+//! --flash-clients N    shards flash-crowd clients  [8]
+//! --out FILE           JSON output  [BENCH_<exp>.json; slo writes none]
+//! ```
+//!
+//! "storm" is shards, forensics and replay: the seeded fault storm on
+//! one shard of a partitioned store. Every flag applies to whichever
+//! experiment runs. An unknown experiment or flag, a missing or
+//! unparsable value, fewer than 2 shards or a victim outside them exits
+//! with status 2 and the usage line.
 
 use bytes::Bytes;
 use mits_atm::{FaultPlan, LinkFaults, LinkProfile};
@@ -31,8 +34,9 @@ use mits_core::models::{compare_delivery_models, reuse_ablation};
 use mits_core::stack::layer_breakdown;
 use mits_core::stream::{profile_name, stream_audio_over, stream_video_over};
 use mits_core::{
-    host_cores, Campus, CampusReport, CampusRollup, CampusWorkload, ClientId, CodSession,
-    MitsSystem, ReportSink, SessionReport, ShardTrace, SystemConfig,
+    fault_storm_slos, host_cores, sharded_workloads, Campus, CampusReport, CampusRollup,
+    CampusWorkload, ClientId, CodSession, FaultStorm, MitsSystem, ReportSink, SessionReport,
+    ShardTrace, SystemConfig,
 };
 use mits_db::RetryPolicy;
 use mits_media::codec::{
@@ -43,79 +47,163 @@ use mits_mheg::{encode_object, MhegEngine, PresentationEvent, WireFormat};
 use mits_navigator::PresentationSession;
 use mits_school::{simulate_facilitation, FacilitationModel};
 use mits_sim::{SimDuration, SimTime};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let filter = args
+/// The paper's tables and figures, in run order. They are
+/// deterministic, and a run without `--exp` runs all of them.
+static TABLES: [(&str, fn()); 14] = [
+    ("t5_1", t5_1),
+    ("f2_4", f2_4),
+    ("f2_6", f2_6),
+    ("f2_9", f2_9),
+    ("f3_2", f3_2),
+    ("f3_5", f3_5),
+    ("f4_3", f4_3),
+    ("f4_4", f4_4),
+    ("f5_x", f5_x),
+    ("e_bb", e_bb),
+    ("e_sidl", e_sidl),
+    ("e_model", e_model),
+    ("e_reuse", e_reuse),
+    ("obs", obs),
+];
+
+/// A scale experiment, sized by the command line.
+type ScaleRun = fn(&Options);
+
+/// The scale experiments, run only by name: campus and media report
+/// host wall-clock numbers, which would make the default output
+/// machine-dependent, and the rest run whole campuses.
+static SCALE: [(&str, ScaleRun); 6] = [
+    ("campus", campus),
+    ("slo", slo),
+    ("shards", shards),
+    ("forensics", forensics),
+    ("replay", replay),
+    ("media", media),
+];
+
+/// Every `--exp` name, tables first.
+fn experiment_names() -> impl Iterator<Item = &'static str> {
+    TABLES
         .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let want = |name: &str| filter.as_deref().is_none_or(|f| f == name);
+        .map(|(n, _)| *n)
+        .chain(SCALE.iter().map(|(n, _)| *n))
+}
 
-    if want("t5_1") {
-        t5_1();
+/// The base seed of every campus run.
+const SEED: u64 = 42;
+
+/// The command line, parsed once in `main`. A size left unset takes the
+/// running experiment's default (see the module doc).
+#[derive(Debug, PartialEq)]
+struct Options {
+    /// One experiment by name; `None` runs every table.
+    exp: Option<&'static str>,
+    students: Option<usize>,
+    threads: Option<usize>,
+    clips: usize,
+    clip_bytes: Option<usize>,
+    shards: usize,
+    victim: usize,
+    max_concurrent: usize,
+    flight_ring: usize,
+    flash_clients: usize,
+    out: Option<String>,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            exp: None,
+            students: None,
+            threads: None,
+            clips: 2,
+            clip_bytes: None,
+            shards: 3,
+            victim: 1,
+            max_concurrent: 0,
+            flight_ring: 0,
+            flash_clients: 8,
+            out: None,
+        }
     }
-    if want("f2_4") {
-        f2_4();
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut o = Options::default();
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let value = args.next();
+        let value = || value.as_deref().ok_or(format!("{flag} needs a value"));
+        let number = || {
+            let v = value()?;
+            v.parse::<usize>().map_err(|e| format!("{flag} {v}: {e}"))
+        };
+        match flag.as_str() {
+            "--exp" => {
+                let name = value()?;
+                o.exp = Some(
+                    experiment_names()
+                        .find(|n| *n == name)
+                        .ok_or(format!("unknown experiment {name}"))?,
+                );
+            }
+            "--students" => o.students = Some(number()?),
+            "--threads" => o.threads = Some(number()?),
+            "--clips" => o.clips = number()?,
+            "--clip-bytes" => o.clip_bytes = Some(number()?),
+            "--shards" => o.shards = number()?,
+            "--victim" => o.victim = number()?,
+            "--max-concurrent" => o.max_concurrent = number()?,
+            "--flight-ring" => o.flight_ring = number()?,
+            "--flash-clients" => o.flash_clients = number()?,
+            "--out" => o.out = Some(value()?.to_string()),
+            _ => return Err(format!("unknown flag {flag}")),
+        }
     }
-    if want("f2_6") {
-        f2_6();
+    if o.shards < 2 {
+        return Err(format!("--shards {}: the storm needs at least 2", o.shards));
     }
-    if want("f2_9") {
-        f2_9();
+    if o.victim >= o.shards {
+        return Err(format!(
+            "--victim {}: not one of the {} shards",
+            o.victim, o.shards
+        ));
     }
-    if want("f3_2") {
-        f3_2();
+    Ok(o)
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = experiment_names().collect();
+    format!(
+        "usage: tables [--exp {}] [--students N] [--threads N] [--clips N] \
+         [--clip-bytes N] [--shards N] [--victim N] [--max-concurrent N] \
+         [--flight-ring N] [--flash-clients N] [--out FILE]",
+        names.join("|")
+    )
+}
+
+fn main() -> ExitCode {
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("tables: {e}");
+            eprintln!("{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    for (name, run) in &TABLES {
+        if opts.exp.is_none_or(|e| e == *name) {
+            run();
+        }
     }
-    if want("f3_5") {
-        f3_5();
+    for (name, run) in &SCALE {
+        if opts.exp == Some(*name) {
+            run(&opts);
+        }
     }
-    if want("f4_3") {
-        f4_3();
-    }
-    if want("f4_4") {
-        f4_4();
-    }
-    if want("f5_x") {
-        f5_x();
-    }
-    if want("e_bb") {
-        e_bb();
-    }
-    if want("e_sidl") {
-        e_sidl();
-    }
-    if want("e_model") {
-        e_model();
-    }
-    if want("e_reuse") {
-        e_reuse();
-    }
-    if want("obs") {
-        obs();
-    }
-    // Scale experiments: opt-in only — campus reports host wall-clock
-    // numbers, which would make the default (deterministic) output
-    // machine-dependent, and slo runs a whole campus.
-    if filter.as_deref() == Some("campus") {
-        campus();
-    }
-    if filter.as_deref() == Some("slo") {
-        slo();
-    }
-    if filter.as_deref() == Some("shards") {
-        shards();
-    }
-    if filter.as_deref() == Some("forensics") {
-        forensics();
-    }
-    if filter.as_deref() == Some("replay") {
-        replay();
-    }
-    if filter.as_deref() == Some("media") {
-        media();
-    }
+    ExitCode::SUCCESS
 }
 
 fn header(id: &str, title: &str) {
@@ -810,13 +898,6 @@ fn e_reuse() {
 /// old tree.
 const FETCH200K_KBPS_SEED: f64 = 27_104.7;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// A campus courseware: one tiny scenario closure plus `clips` MPEG
 /// objects of `clip_bytes` each — the "content objects of large size"
 /// (§3.4.2) that dominate the wire.
@@ -916,14 +997,11 @@ fn net_stage_mbps(per_cell: bool) -> f64 {
 /// per-cell scheduler, and the end-to-end 200 KB fetch. Writes
 /// `BENCH_media.json` so `check.sh` can validate the stage names the
 /// flame profiler attributes time to.
-fn media() {
+fn media(opts: &Options) {
     use mits_atm::aal5;
     header("MEDIA", "media-path stage throughput");
-    let out = std::env::var("MITS_MEDIA_OUT").unwrap_or_else(|_| "BENCH_media.json".into());
+    let out = opts.out.as_deref().unwrap_or("BENCH_media.json");
     let buf: Vec<u8> = (0..1 << 20).map(|i| (i * 31 % 251) as u8).collect();
-    let crc_slice8 = stage_mbps(buf.len(), || {
-        std::hint::black_box(aal5::crc32_slice8(std::hint::black_box(&buf)));
-    });
     let crc_slice16 = stage_mbps(buf.len(), || {
         std::hint::black_box(aal5::crc32_slice16(std::hint::black_box(&buf)));
     });
@@ -950,9 +1028,8 @@ fn media() {
     let net_per_cell = net_stage_mbps(true);
     let fetch_kbps = fetch_microbench();
     let json = format!(
-        "{{\n  \"experiment\": \"media\",\n  \"crc_hw_accelerated\": {},\n  \"crc_slice8_mbps\": {:.1},\n  \"crc_slice16_mbps\": {:.1},\n  \"crc_dispatch_mbps\": {:.1},\n  \"segment_mbps\": {:.1},\n  \"reassemble_mbps\": {:.1},\n  \"net_train_mbps\": {:.1},\n  \"net_per_cell_mbps\": {:.1},\n  \"train_speedup\": {:.2},\n  \"fetch200k_kbps\": {:.1}\n}}\n",
+        "{{\n  \"experiment\": \"media\",\n  \"crc_hw_accelerated\": {},\n  \"crc_slice16_mbps\": {:.1},\n  \"crc_dispatch_mbps\": {:.1},\n  \"segment_mbps\": {:.1},\n  \"reassemble_mbps\": {:.1},\n  \"net_train_mbps\": {:.1},\n  \"net_per_cell_mbps\": {:.1},\n  \"train_speedup\": {:.2},\n  \"fetch200k_kbps\": {:.1}\n}}\n",
         aal5::crc32_is_hw_accelerated(),
-        crc_slice8,
         crc_slice16,
         crc_dispatch,
         segment,
@@ -962,7 +1039,7 @@ fn media() {
         net_train / net_per_cell.max(1e-9),
         fetch_kbps,
     );
-    std::fs::write(&out, &json).expect("write BENCH_media.json");
+    std::fs::write(out, &json).expect("write BENCH_media.json");
     print!("{json}");
     println!("wrote {out}");
 }
@@ -1040,23 +1117,22 @@ impl ReportSink for BenchJsonSink {
     }
 }
 
-fn campus() {
+fn campus(opts: &Options) {
     header(
         "CAMPUS",
         "memory-bounded campus: streaming session lifecycle over work-stealing shards",
     );
     let cores = host_cores();
-    let students = env_usize("MITS_CAMPUS_STUDENTS", 10_000);
+    let students = opts.students.unwrap_or(10_000);
     // On a single-core host the parallel leg still runs 2 threads so the
     // determinism claim ("1 vs N") is exercised for real.
-    let threads = env_usize("MITS_CAMPUS_THREADS", cores.max(2));
-    let clips = env_usize("MITS_CAMPUS_CLIPS", 2);
-    let clip_bytes = env_usize("MITS_CAMPUS_CLIP_BYTES", 64 * 1024);
-    let max_concurrent = env_usize("MITS_CAMPUS_MAX_CONCURRENT", 0);
-    // Flight-recorder ring cap; 0 keeps the library default. The ring
-    // never reaches the digest, so this is safe to vary per run.
-    let flight_ring = env_usize("MITS_FLIGHT_RING", 0);
-    let out = std::env::var("MITS_CAMPUS_OUT").unwrap_or_else(|_| "BENCH_campus.json".into());
+    let threads = opts.threads.unwrap_or(cores.max(2));
+    let clips = opts.clips;
+    let clip_bytes = opts.clip_bytes.unwrap_or(64 * 1024);
+    // The flight-recorder ring never reaches the digest, so its cap is
+    // safe to vary per run.
+    let (max_concurrent, flight_ring) = (opts.max_concurrent, opts.flight_ring);
+    let out = opts.out.as_deref().unwrap_or("BENCH_campus.json");
 
     let fetch_kbps = fetch_microbench();
     println!(
@@ -1066,7 +1142,7 @@ fn campus() {
     );
 
     let workload = campus_workload(clips, clip_bytes);
-    let serial = Campus::new(students, 42)
+    let serial = Campus::new(students, SEED)
         .threads(1)
         .max_concurrent(max_concurrent)
         .flight_ring(flight_ring)
@@ -1075,14 +1151,14 @@ fn campus() {
         .unwrap();
     let mut sink = BenchJsonSink {
         report: CampusReport::new(),
-        out: out.clone(),
+        out: out.to_string(),
         clips,
         clip_bytes,
         serial,
         fetch_kbps,
         host_cores: cores,
     };
-    Campus::new(students, 42)
+    Campus::new(students, SEED)
         .threads(threads)
         .max_concurrent(max_concurrent)
         .flight_ring(flight_ring)
@@ -1129,19 +1205,18 @@ fn campus() {
 
 /// SLO: run a small campus, judge the merged metrics rollup against the
 /// default objectives, and emit the machine-readable verdicts. Opt-in
-/// (`--exp slo`). The last stdout line is the verdict JSON; set
-/// `MITS_SLO_OUT` to also write it to a file for CI parsing.
-fn slo() {
+/// (`--exp slo`). The last stdout line is the verdict JSON; `--out`
+/// also writes it to a file for CI parsing.
+fn slo(opts: &Options) {
     header(
         "SLO",
         "campus objectives judged on the merged metrics rollup",
     );
-    let students = env_usize("MITS_SLO_STUDENTS", 16);
-    let threads = env_usize("MITS_SLO_THREADS", 4);
-    let clips = env_usize("MITS_SLO_CLIPS", 2);
-    let workload = campus_workload(clips, 64 * 1024);
-    let report = Campus::new(students, 42)
-        .threads(threads)
+    let workload = campus_workload(opts.clips, opts.clip_bytes.unwrap_or(64 * 1024));
+    let report = Campus::new(opts.students.unwrap_or(16), SEED)
+        .threads(opts.threads.unwrap_or(4))
+        .max_concurrent(opts.max_concurrent)
+        .flight_ring(opts.flight_ring)
         .workload(workload)
         .run()
         .unwrap();
@@ -1166,11 +1241,81 @@ fn slo() {
         report.sessions_anomalous
     );
     let json = report.slo.to_json();
-    if let Ok(out) = std::env::var("MITS_SLO_OUT") {
-        std::fs::write(&out, format!("{json}\n")).expect("write slo json");
+    if let Some(out) = &opts.out {
+        std::fs::write(out, format!("{json}\n")).expect("write slo json");
         println!("wrote {out}");
     }
     println!("{json}");
+}
+
+/// The seeded fault-storm campaign that `shards`, `forensics` and
+/// `replay` share: one courseware per shard, a storm that crashes the
+/// victim shard's primary and replica mid-session behind a shard-wide
+/// link outage, and the campus that runs it.
+struct StormCampaign {
+    students: usize,
+    threads: usize,
+    max_concurrent: usize,
+    flight_ring: usize,
+    workloads: Vec<CampusWorkload>,
+    storm: FaultStorm,
+    /// Sessions on the victim shard. Every session is keyed to
+    /// `workloads[student % shards]`, so the storm's failure budget is
+    /// exactly this residue class's share.
+    on_victim: usize,
+}
+
+impl StormCampaign {
+    fn new(opts: &Options) -> Self {
+        let students = opts.students.unwrap_or(9);
+        StormCampaign {
+            students,
+            threads: opts.threads.unwrap_or(2),
+            max_concurrent: opts.max_concurrent,
+            flight_ring: opts.flight_ring,
+            workloads: sharded_workloads(
+                opts.shards,
+                opts.clips,
+                opts.clip_bytes.unwrap_or(300_000),
+            ),
+            storm: FaultStorm::new(
+                opts.shards,
+                opts.victim,
+                SimTime::from_millis(2),
+                SimTime::from_secs(120),
+            ),
+            on_victim: (0..students)
+                .filter(|s| s % opts.shards == opts.victim)
+                .count(),
+        }
+    }
+
+    /// The storm campus on `threads` workers, or its storm-free twin
+    /// when `stormy` is false. A stormy campus declares its fault
+    /// schedule, so its forensic bundles can name the injected fault.
+    fn campus(&self, threads: usize, stormy: bool) -> Campus {
+        let storm = self.storm.clone();
+        let campus = Campus::new(self.students, SEED)
+            .threads(threads)
+            .max_concurrent(self.max_concurrent)
+            .flight_ring(self.flight_ring)
+            .workloads(self.workloads.clone())
+            .slos(fault_storm_slos(
+                self.on_victim as f64 / self.students as f64,
+            ))
+            .configure_sessions(move |_, base| {
+                if stormy {
+                    storm.apply(base)
+                } else {
+                    storm.apply_calm(base)
+                }
+            });
+        if stormy {
+            campus.fault_schedule(self.storm.schedule())
+        } else {
+            campus
+        }
+    }
 }
 
 /// SHARDS: the partitioned store's survival gate. Runs a seeded fault
@@ -1180,32 +1325,16 @@ fn slo() {
 /// stay byte-identical — plus seed determinism and the storm SLOs.
 /// Then measures a hot-document flash crowd with and without the
 /// campus-edge cache to bound origin load. Opt-in (`--exp shards`);
-/// writes `BENCH_shards.json` (override with `MITS_SHARDS_OUT`).
-fn shards() {
-    use mits_core::{fault_storm_slos, sharded_workloads, FaultStorm};
-
+/// writes `BENCH_shards.json` (or `--out`).
+fn shards(opts: &Options) {
     header(
         "SHARDS",
         "partitioned store: fault-storm blast radius + edge-cached flash crowd",
     );
-    let shards = env_usize("MITS_SHARDS", 3).max(2);
-    let students = env_usize("MITS_SHARDS_STUDENTS", 9);
-    let victim = env_usize("MITS_SHARDS_VICTIM", 1) % shards;
-    let clip_bytes = env_usize("MITS_SHARDS_CLIP_BYTES", 300_000);
-    let flash_clients = env_usize("MITS_SHARDS_FLASH_CLIENTS", 8);
-    let seed = env_usize("MITS_SHARDS_SEED", 42) as u64;
-    let out = std::env::var("MITS_SHARDS_OUT").unwrap_or_else(|_| "BENCH_shards.json".into());
-
-    let workloads = sharded_workloads(shards, 2, clip_bytes);
-    let storm = FaultStorm::new(
-        shards,
-        victim,
-        SimTime::from_millis(2),
-        SimTime::from_secs(120),
-    );
-    // Every session is keyed to workloads[student % shards]; the storm's
-    // failure budget is exactly the victim residue class's share.
-    let on_victim = (0..students).filter(|s| s % shards == victim).count();
+    let (shards, victim, flash_clients) = (opts.shards, opts.victim, opts.flash_clients);
+    let out = opts.out.as_deref().unwrap_or("BENCH_shards.json");
+    let campaign = StormCampaign::new(opts);
+    let (students, on_victim) = (campaign.students, campaign.on_victim);
 
     /// Per-session outcomes in student order plus the rollup verdicts.
     #[derive(Default)]
@@ -1229,27 +1358,17 @@ fn shards() {
         }
     }
 
-    let run = |seed: u64, stormy: bool| {
-        let s = storm.clone();
+    let run = |stormy: bool| {
         let mut sink = StormSink::default();
-        Campus::new(students, seed)
-            .threads(2)
-            .workloads(workloads.clone())
-            .slos(fault_storm_slos(on_victim as f64 / students as f64))
-            .configure_sessions(move |_, base| {
-                if stormy {
-                    s.apply(base)
-                } else {
-                    s.apply_calm(base)
-                }
-            })
+        campaign
+            .campus(campaign.threads, stormy)
             .run_with(&mut sink)
             .unwrap();
         sink
     };
-    let hit = run(seed, true);
-    let replay = run(seed, true);
-    let twin = run(seed, false);
+    let hit = run(true);
+    let replay = run(true);
+    let twin = run(false);
 
     let mut degraded_on_victim = 0usize;
     let mut healthy_clean = true;
@@ -1267,7 +1386,7 @@ fn shards() {
     let slo_breaches = hit.breaches + twin.breaches;
 
     println!(
-        "storm seed {seed}: {degraded_on_victim}/{on_victim} victim sessions degraded; \
+        "storm seed {SEED}: {degraded_on_victim}/{on_victim} victim sessions degraded; \
          healthy clean {healthy_clean}, digests match twin {healthy_digest_match}, \
          deterministic {storm_deterministic}, SLO breaches {slo_breaches}"
     );
@@ -1280,10 +1399,10 @@ fn shards() {
             .with_shards(shards)
             .with_edge_cache(edge_bytes);
         let mut sys = MitsSystem::build(&cfg).unwrap();
-        for w in &workloads {
+        for w in &campaign.workloads {
             sys.load_doc(&w.objects, &w.media, w.root);
         }
-        let hot = workloads[0].media[0].id;
+        let hot = campaign.workloads[0].media[0].id;
         for c in 0..flash_clients {
             sys.fetch_content(ClientId(c), hot).unwrap();
         }
@@ -1310,7 +1429,7 @@ fn shards() {
         edge.misses,
         edge.invalidations
     );
-    std::fs::write(&out, json).expect("write shards bench json");
+    std::fs::write(out, json).expect("write shards bench json");
     println!("wrote {out}");
 }
 
@@ -1321,51 +1440,21 @@ fn shards() {
 /// identical across thread counts, that every exemplar a bundle cites
 /// resolves to a sampled trace, and that the calm twin produces zero
 /// bundles. Opt-in (`--exp forensics`); writes `BENCH_forensics.json`
-/// (override with `MITS_FORENSICS_OUT`).
-fn forensics() {
-    use mits_core::{fault_storm_slos, sharded_workloads, FaultStorm};
-
+/// (or `--out`).
+fn forensics(opts: &Options) {
     header(
         "FORENSICS",
         "flight recorder + breach forensics: storm campaign incident bundles",
     );
-    let shards = env_usize("MITS_FORENSICS_SHARDS", 3).max(2);
-    let students = env_usize("MITS_FORENSICS_STUDENTS", 9);
-    let victim = env_usize("MITS_FORENSICS_VICTIM", 1) % shards;
-    let clip_bytes = env_usize("MITS_FORENSICS_CLIP_BYTES", 300_000);
-    let seed = env_usize("MITS_FORENSICS_SEED", 42) as u64;
-    let out = std::env::var("MITS_FORENSICS_OUT").unwrap_or_else(|_| "BENCH_forensics.json".into());
+    let (shards, victim) = (opts.shards, opts.victim);
+    let out = opts.out.as_deref().unwrap_or("BENCH_forensics.json");
+    let campaign = StormCampaign::new(opts);
+    let students = campaign.students;
 
-    let workloads = sharded_workloads(shards, 2, clip_bytes);
-    let storm = FaultStorm::new(
-        shards,
-        victim,
-        SimTime::from_millis(2),
-        SimTime::from_secs(120),
-    );
-    let on_victim = (0..students).filter(|s| s % shards == victim).count();
-
-    let run = |threads: usize, stormy: bool| {
-        let s = storm.clone();
-        let mut c = Campus::new(students, seed)
-            .threads(threads)
-            .workloads(workloads.clone())
-            .slos(fault_storm_slos(on_victim as f64 / students as f64))
-            .configure_sessions(move |_, base| {
-                if stormy {
-                    s.apply(base)
-                } else {
-                    s.apply_calm(base)
-                }
-            });
-        if stormy {
-            c = c.fault_schedule(storm.schedule());
-        }
-        c.run().unwrap()
-    };
-    let hit = run(2, true);
+    let run = |threads: usize, stormy: bool| campaign.campus(threads, stormy).run().unwrap();
+    let hit = run(campaign.threads, true);
     let serial = run(1, true);
-    let calm = run(2, false);
+    let calm = run(campaign.threads, false);
 
     let bundles_json = hit.forensics_json();
     let timeline_json = hit.timeline_json();
@@ -1400,61 +1489,37 @@ fn forensics() {
     );
 
     let json = format!(
-        "{{\n  \"experiment\": \"forensics\",\n  \"shards\": {shards},\n  \"victim_shard\": {victim},\n  \"students\": {students},\n  \"seed\": {seed},\n  \"storm_bundles\": {},\n  \"calm_bundles\": {},\n  \"forensics_match_1_vs_n_threads\": {forensics_match},\n  \"chain_names_victim\": {chain_names_victim},\n  \"exemplar_trace_resolvable\": {exemplars_resolvable},\n  \"timeline\": {timeline_json},\n  \"bundles\": {bundles_json}\n}}\n",
+        "{{\n  \"experiment\": \"forensics\",\n  \"shards\": {shards},\n  \"victim_shard\": {victim},\n  \"students\": {students},\n  \"seed\": {SEED},\n  \"storm_bundles\": {},\n  \"calm_bundles\": {},\n  \"forensics_match_1_vs_n_threads\": {forensics_match},\n  \"chain_names_victim\": {chain_names_victim},\n  \"exemplar_trace_resolvable\": {exemplars_resolvable},\n  \"timeline\": {timeline_json},\n  \"bundles\": {bundles_json}\n}}\n",
         hit.forensics.len(),
         calm.forensics.len(),
     );
-    std::fs::write(&out, json).expect("write forensics bench json");
+    std::fs::write(out, json).expect("write forensics bench json");
     println!("wrote {out}");
 }
 
-/// Replay observatory (ISSUE 10): run the same fault-storm campaign as
+/// Replay observatory: run the same fault-storm campaign as
 /// `--exp forensics`, take the victim session's ready-to-run replay
 /// handle from the incident bundle, and re-run that one session
 /// standalone with instrumentation forced to maximum. Faithfulness is
 /// the hard gate — the replayed digest must equal the campus digest
 /// layer by layer — and the per-hop weathermap covers the victim's
-/// route. Opt-in (`--exp replay`); writes `BENCH_replay.json`
-/// (override with `MITS_REPLAY_OUT`).
-fn replay() {
-    use mits_core::{fault_storm_slos, sharded_workloads, FaultStorm};
-
+/// route. Opt-in (`--exp replay`); writes `BENCH_replay.json` (or
+/// `--out`).
+fn replay(opts: &Options) {
     header(
         "REPLAY",
         "extract-and-replay the storm victim with max instrumentation",
     );
-    let shards = env_usize("MITS_FORENSICS_SHARDS", 3).max(2);
-    let students = env_usize("MITS_FORENSICS_STUDENTS", 9);
-    let victim = env_usize("MITS_FORENSICS_VICTIM", 1) % shards;
-    let clip_bytes = env_usize("MITS_FORENSICS_CLIP_BYTES", 300_000);
-    let seed = env_usize("MITS_FORENSICS_SEED", 42) as u64;
-    let flight_ring = env_usize("MITS_FLIGHT_RING", 0);
-    let out = std::env::var("MITS_REPLAY_OUT").unwrap_or_else(|_| "BENCH_replay.json".into());
-
-    let workloads = sharded_workloads(shards, 2, clip_bytes);
-    let storm = FaultStorm::new(
-        shards,
-        victim,
-        SimTime::from_millis(2),
-        SimTime::from_secs(120),
-    );
-    let on_victim = (0..students).filter(|s| s % shards == victim).count();
-
-    let campus = || {
-        let s = storm.clone();
-        Campus::new(students, seed)
-            .threads(2)
-            .flight_ring(flight_ring)
-            .workloads(workloads.clone())
-            .slos(fault_storm_slos(on_victim as f64 / students as f64))
-            .configure_sessions(move |_, base| s.apply(base))
-            .fault_schedule(storm.schedule())
-    };
+    let (shards, victim) = (opts.shards, opts.victim);
+    let out = opts.out.as_deref().unwrap_or("BENCH_replay.json");
+    let campaign = StormCampaign::new(opts);
+    let students = campaign.students;
+    let campus = campaign.campus(campaign.threads, true);
 
     // Run the storm campaign once; the session to replay comes from an
     // incident bundle's replay handle, closing the forensics loop.
-    let campaign = campus().run().unwrap();
-    let (student, handle_seed) = campaign
+    let report = campus.run().unwrap();
+    let (student, handle_seed) = report
         .forensics
         .iter()
         .flat_map(|b| &b.replays)
@@ -1470,7 +1535,7 @@ fn replay() {
             )
         });
 
-    let r = campus().replay(student).expect("replay the storm victim");
+    let r = campus.replay(student).expect("replay the storm victim");
     let handle_agrees = handle_seed == 0 || handle_seed == r.bundle.seed;
 
     print!("{}", r.waterfall);
@@ -1491,7 +1556,7 @@ fn replay() {
         .collect::<Vec<_>>()
         .join(",");
     let json = format!(
-        "{{\n  \"experiment\": \"replay\",\n  \"shards\": {shards},\n  \"victim_shard\": {victim},\n  \"students\": {students},\n  \"seed\": {seed},\n  \"student\": {student},\n  \"session_seed\": {},\n  \"digest\": {},\n  \"digest_match\": {},\n  \"breach_reproduced\": {},\n  \"handle_agrees\": {handle_agrees},\n  \"bundle\": {},\n  \"route\": [{route_json}],\n  \"weathermap\": {}\n}}\n",
+        "{{\n  \"experiment\": \"replay\",\n  \"shards\": {shards},\n  \"victim_shard\": {victim},\n  \"students\": {students},\n  \"seed\": {SEED},\n  \"student\": {student},\n  \"session_seed\": {},\n  \"digest\": {},\n  \"digest_match\": {},\n  \"breach_reproduced\": {},\n  \"handle_agrees\": {handle_agrees},\n  \"bundle\": {},\n  \"route\": [{route_json}],\n  \"weathermap\": {}\n}}\n",
         r.bundle.seed,
         r.bundle.digest,
         r.digest_match,
@@ -1499,6 +1564,62 @@ fn replay() {
         r.bundle.to_json(),
         r.weathermap,
     );
-    std::fs::write(&out, json).expect("write replay bench json");
+    std::fs::write(out, json).expect("write replay bench json");
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn every_flag_sets_its_option() {
+        assert_eq!(parse("").unwrap(), Options::default());
+        let o = parse(
+            "--exp shards --students 6 --threads 2 --clips 3 --clip-bytes 100000 --shards 4 \
+             --victim 3 --max-concurrent 5 --flight-ring 64 --flash-clients 7 --out x.json",
+        );
+        let want = Options {
+            exp: Some("shards"),
+            students: Some(6),
+            threads: Some(2),
+            clips: 3,
+            clip_bytes: Some(100_000),
+            shards: 4,
+            victim: 3,
+            max_concurrent: 5,
+            flight_ring: 64,
+            flash_clients: 7,
+            out: Some("x.json".into()),
+        };
+        assert_eq!(o.unwrap(), want);
+        for name in experiment_names() {
+            assert_eq!(parse(&format!("--exp {name}")).unwrap().exp, Some(name));
+        }
+    }
+
+    #[test]
+    fn what_cannot_run_is_rejected() {
+        for bad in [
+            "--exp campsu",
+            "--exp",
+            "--studnets 6",
+            "campus",
+            "--students",
+            "--students 10k",
+            "--threads -1",
+            "--clip-bytes 1e5",
+            "--shards 1",
+            "--victim 3",
+            "--shards 2 --victim 2",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        // The shard checks run after every flag, so order does not matter.
+        assert_eq!(parse("--victim 3 --shards 4").unwrap().victim, 3);
+    }
 }

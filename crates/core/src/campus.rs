@@ -182,10 +182,6 @@ pub struct SessionReport {
     pub wall_secs: f64,
 }
 
-/// Deprecated name for [`SessionReport`] from the slot-per-shard runner.
-#[deprecated(note = "renamed to SessionReport")]
-pub type ShardReport = SessionReport;
-
 /// The campus-wide merge a run ends with: everything deterministic
 /// (digest, metrics, SLOs) plus the host wall totals.
 #[derive(Debug, Clone)]
@@ -1563,68 +1559,6 @@ fn run_session(
     ))
 }
 
-// ---------- deprecated pre-builder API ----------
-
-/// Legacy configuration for [`run_campus`].
-#[deprecated(note = "use the Campus builder: Campus::new(students, seed).threads(n).run()")]
-#[derive(Debug, Clone)]
-pub struct CampusConfig {
-    /// Number of independent student sessions.
-    pub students: usize,
-    /// Worker threads; 1 runs the sessions inline on the caller's thread.
-    pub threads: usize,
-    /// Base seed; student `i` derives its own seed from `(base_seed, i)`.
-    pub base_seed: u64,
-    /// Fraction of students whose traces are head-sampled (0.0..=1.0).
-    pub trace_sample_rate: f64,
-    /// Sessions simulating longer than this are tail-sampled as slow.
-    pub slow_session: SimDuration,
-}
-
-#[allow(deprecated)]
-impl CampusConfig {
-    /// A campus with default telemetry: 5% head sampling, 30 s slow
-    /// threshold.
-    pub fn new(students: usize, threads: usize, base_seed: u64) -> Self {
-        CampusConfig {
-            students,
-            threads,
-            base_seed,
-            trace_sample_rate: 0.05,
-            slow_session: SimDuration::from_secs(30),
-        }
-    }
-
-    /// Override the head-sampling fraction.
-    pub fn with_trace_sample_rate(mut self, rate: f64) -> Self {
-        self.trace_sample_rate = rate;
-        self
-    }
-
-    /// Override the slow-session tail-sampling threshold.
-    pub fn with_slow_session(mut self, d: SimDuration) -> Self {
-        self.slow_session = d;
-        self
-    }
-}
-
-/// Legacy entry point: run the campus described by a [`CampusConfig`].
-/// Delegates to the [`Campus`] builder; behaviour (digest, metrics,
-/// traces, SLOs) is identical.
-#[deprecated(note = "use Campus::new(students, seed).threads(n).workload(w).run()")]
-#[allow(deprecated)]
-pub fn run_campus(
-    config: &CampusConfig,
-    workload: &CampusWorkload,
-) -> Result<CampusReport, SystemError> {
-    Campus::new(config.students, config.base_seed)
-        .threads(config.threads.max(1))
-        .trace_sample_rate(config.trace_sample_rate)
-        .slow_session(config.slow_session)
-        .workload(workload.clone())
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1909,18 +1843,6 @@ mod tests {
             assert!(one.wall_percentile(p) >= 0.0, "p={p}");
             assert!(one.session_percentile(p) >= 0.0, "p={p}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_campus_shim_matches_builder() {
-        let w = tiny_workload(1, 2048);
-        let old = run_campus(&CampusConfig::new(4, 2, 9), &w).unwrap();
-        let new = campus(4, 2, 9, &w).run().unwrap();
-        assert_eq!(old.digest, new.digest);
-        assert_eq!(old.bytes, new.bytes);
-        assert_eq!(old.metrics.to_json(), new.metrics.to_json());
-        assert_eq!(old.traces_jsonl(), new.traces_jsonl());
     }
 
     #[test]

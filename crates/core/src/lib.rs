@@ -38,8 +38,6 @@ pub use campus::{
     CampusReport, CampusRollup, CampusWorkload, FaultStorm, ReplayReport, ReportSink,
     SessionReport, SessionSpec, ShardTrace,
 };
-#[allow(deprecated)]
-pub use campus::{run_campus, CampusConfig, ShardReport};
 pub use cod::{CodReport, CodSession};
 pub use models::{compare_delivery_models, reuse_ablation, ModelMetrics, ReuseReport};
 pub use stack::{layer_breakdown, LayerCost};

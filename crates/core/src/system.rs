@@ -15,10 +15,9 @@ use mits_atm::{
     NodeId, ReliableChannel, ServiceClass, TransportEvent, VcId,
 };
 use mits_db::{
-    merge_doc_ids, merge_doc_lists, peek_req_id, peek_response_trace, read_snapshot, wal,
-    ClientAction, ClientEvent, DbClient, DbClientMetrics, DbError, DbServer, EdgeCache,
-    KeywordTree, RecoveryReport, Request, Response, RetryPolicy, Route, ServiceModel, ShardRouter,
-    SharedLogDevice, StoreImage,
+    merge_sorted, peek_req_id, peek_response_trace, read_snapshot, wal, ClientAction, ClientEvent,
+    DbClient, DbClientMetrics, DbError, DbServer, EdgeCache, KeywordTree, RecoveryReport, Request,
+    Response, RetryPolicy, Route, ServiceModel, ShardRouter, SharedLogDevice, StoreImage,
 };
 use mits_media::{MediaId, MediaObject};
 use mits_mheg::{MhegId, MhegObject};
@@ -1590,33 +1589,48 @@ impl MitsSystem {
 
     // ---------- the paper's query facade (§5.3.2) ----------
 
-    /// `Get_List_Doc()`: the catalogue of courseware documents. On a
-    /// sharded store the catalogue is scatter/gathered; unreachable
-    /// shards degrade the list to the reachable shards' entries.
+    /// A catalogue query: one direct call on an unsharded store, a
+    /// scatter/gather on a sharded one. The gather decodes every leg
+    /// that answered and merges them; unreachable shards degrade the
+    /// result to the reachable shards' parts, and the last leg error is
+    /// returned only when no leg answered.
+    fn gathered<T>(
+        &mut self,
+        client: ClientId,
+        req: Request,
+        decode: fn(Response) -> Result<T, DbError>,
+        merge: fn(Vec<T>) -> T,
+    ) -> Result<(T, SimDuration), SystemError> {
+        if self.router.shards() <= 1 {
+            let (resp, t) = self.call(client.0, req, Self::default_timeout())?;
+            return Ok((decode(resp)?, t));
+        }
+        let (legs, t) = self.call_scatter(client.0, &req, Self::default_timeout())?;
+        let mut parts = Vec::with_capacity(legs.len());
+        let mut last_err = None;
+        for leg in legs {
+            match leg {
+                Ok(resp) => parts.push(decode(resp)?),
+                Err(e) => last_err = Some(e),
+            }
+        }
+        match last_err {
+            Some(e) if parts.is_empty() => Err(SystemError::Db(e)),
+            _ => Ok((merge(parts), t)),
+        }
+    }
+
+    /// `Get_List_Doc()`: the catalogue of courseware documents.
     pub fn get_list_doc(
         &mut self,
         client: ClientId,
     ) -> Result<(Vec<(MhegId, String)>, SimDuration), SystemError> {
-        if self.router.shards() > 1 {
-            let (parts, t) =
-                self.call_scatter(client.0, &Request::ListDocs, Self::default_timeout())?;
-            let mut lists = Vec::new();
-            let mut last_err = None;
-            for r in parts {
-                match r {
-                    Ok(resp) => lists.push(resp.into_doc_list()?),
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if lists.is_empty() {
-                if let Some(e) = last_err {
-                    return Err(SystemError::Db(e));
-                }
-            }
-            return Ok((merge_doc_lists(lists), t));
-        }
-        let (resp, t) = self.call(client.0, Request::ListDocs, Self::default_timeout())?;
-        Ok((resp.into_doc_list()?, t))
+        self.gathered(
+            client,
+            Request::ListDocs,
+            Response::into_doc_list,
+            merge_sorted,
+        )
     }
 
     /// `Get_Selected_Doc(name)`: a document's full object closure by
@@ -1656,36 +1670,23 @@ impl MitsSystem {
 
     /// `GetKeywordTree()`: the keyword taxonomy for library browsing.
     /// On a sharded store each shard holds its own documents' keyword
-    /// entries; the trees are scatter/gathered and merged, degrading to
-    /// the reachable shards' taxonomy when one is down.
+    /// entries, and the gathered trees are merged.
     pub fn get_keyword_tree(
         &mut self,
         client: ClientId,
     ) -> Result<(KeywordTree, SimDuration), SystemError> {
-        if self.router.shards() > 1 {
-            let (parts, t) =
-                self.call_scatter(client.0, &Request::GetKeywordTree, Self::default_timeout())?;
-            let mut merged = KeywordTree::new();
-            let mut any_ok = false;
-            let mut last_err = None;
-            for r in parts {
-                match r {
-                    Ok(resp) => {
-                        merged.merge_from(&resp.into_keyword_tree()?);
-                        any_ok = true;
-                    }
-                    Err(e) => last_err = Some(e),
+        self.gathered(
+            client,
+            Request::GetKeywordTree,
+            Response::into_keyword_tree,
+            |trees| {
+                let mut merged = KeywordTree::new();
+                for tree in &trees {
+                    merged.merge_from(tree);
                 }
-            }
-            if !any_ok {
-                if let Some(e) = last_err {
-                    return Err(SystemError::Db(e));
-                }
-            }
-            return Ok((merged, t));
-        }
-        let (resp, t) = self.call(client.0, Request::GetKeywordTree, Self::default_timeout())?;
-        Ok((resp.into_keyword_tree()?, t))
+                merged
+            },
+        )
     }
 
     /// `GetDocByKeyword(keyword)`: documents under a keyword, including
@@ -1695,49 +1696,11 @@ impl MitsSystem {
         client: ClientId,
         keyword: &str,
     ) -> Result<(Vec<MhegId>, SimDuration), SystemError> {
-        self.keyword_query(client, keyword, true)
-    }
-
-    fn keyword_query(
-        &mut self,
-        client: ClientId,
-        keyword: &str,
-        subtree: bool,
-    ) -> Result<(Vec<MhegId>, SimDuration), SystemError> {
         let req = Request::QueryKeyword {
             keyword: keyword.to_string(),
-            subtree,
+            subtree: true,
         };
-        if self.router.shards() > 1 {
-            let (parts, t) = self.call_scatter(client.0, &req, Self::default_timeout())?;
-            let mut lists = Vec::new();
-            let mut last_err = None;
-            for r in parts {
-                match r {
-                    Ok(resp) => lists.push(resp.into_doc_ids()?),
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if lists.is_empty() {
-                if let Some(e) = last_err {
-                    return Err(SystemError::Db(e));
-                }
-            }
-            return Ok((merge_doc_ids(lists), t));
-        }
-        let (resp, t) = self.call(client.0, req, Self::default_timeout())?;
-        Ok((resp.into_doc_ids()?, t))
-    }
-
-    // ---------- deprecated pre-facade names ----------
-
-    /// `Get_List_Doc` from a client.
-    #[deprecated(note = "use get_list_doc (paper facade)")]
-    pub fn list_docs(
-        &mut self,
-        client: ClientId,
-    ) -> Result<(Vec<(MhegId, String)>, SimDuration), SystemError> {
-        self.get_list_doc(client)
+        self.gathered(client, req, Response::into_doc_ids, merge_sorted)
     }
 
     /// Fetch a courseware's full object closure from a client.
@@ -1754,16 +1717,6 @@ impl MitsSystem {
             (Response::Objects(objs), t) => Ok((objs, t)),
             _ => Err(SystemError::Protocol("expected Objects".into())),
         }
-    }
-
-    /// Fetch a document by name (`Get_Selected_Doc`).
-    #[deprecated(note = "use get_selected_doc (paper facade)")]
-    pub fn fetch_doc(
-        &mut self,
-        client: ClientId,
-        name: &str,
-    ) -> Result<(Vec<MhegObject>, SimDuration), SystemError> {
-        self.get_selected_doc(client, name)
     }
 
     /// Fetch bulk content, consulting the client cache, then the campus
@@ -1803,26 +1756,6 @@ impl MitsSystem {
             edge.fill(media, shard, epoch, &m);
         }
         Ok((m, t))
-    }
-
-    /// Keyword query from a client.
-    #[deprecated(note = "use get_doc_by_keyword (paper facade; subtree match)")]
-    pub fn query_keyword(
-        &mut self,
-        client: ClientId,
-        keyword: &str,
-        subtree: bool,
-    ) -> Result<(Vec<MhegId>, SimDuration), SystemError> {
-        self.keyword_query(client, keyword, subtree)
-    }
-
-    /// Fetch the keyword tree (library browsing).
-    #[deprecated(note = "use get_keyword_tree (paper facade)")]
-    pub fn fetch_keyword_tree(
-        &mut self,
-        client: ClientId,
-    ) -> Result<(KeywordTree, SimDuration), SystemError> {
-        self.get_keyword_tree(client)
     }
 
     /// Issue the same request from many clients *concurrently* and wait
@@ -1985,12 +1918,6 @@ mod tests {
         assert_eq!(ids, vec![root]);
         let (tree, _) = sys.get_keyword_tree(ClientId(0)).unwrap();
         assert_eq!(tree.lookup("telecom/atm"), vec![root]);
-        // The deprecated names still answer, via the facade.
-        #[allow(deprecated)]
-        let (ids, _) = sys
-            .query_keyword(ClientId(0), "telecom/atm", false)
-            .unwrap();
-        assert_eq!(ids, vec![root]);
     }
 
     #[test]

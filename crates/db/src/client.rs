@@ -600,16 +600,6 @@ impl DbClient {
         }
     }
 
-    /// Encode a request frame for the network. Returns `(req_id, frame)`.
-    ///
-    /// Deprecated shim: issues at `SimTime::ZERO`, so with a finite
-    /// policy the deadline is measured from the epoch. Use
-    /// [`DbClient::request_at`].
-    #[deprecated(note = "use request_at(req, now) so deadlines are anchored to the clock")]
-    pub fn request(&mut self, req: Request) -> (u64, Bytes) {
-        self.request_at(req, SimTime::ZERO)
-    }
-
     // --- The paper's query facade (§5.3.2) -------------------------------
 
     /// `Get_List_Doc()`: ask for the catalogue of courseware documents.
@@ -672,18 +662,6 @@ impl DbClient {
             return Ok(m);
         }
         Err(self.request_at(Request::GetContent { media: id }, now))
-    }
-
-    /// Cached-object fetch anchored at the epoch.
-    #[deprecated(note = "use fetch_object_at(id, now)")]
-    pub fn fetch_object(&mut self, id: MhegId) -> Result<MhegObject, (u64, Bytes)> {
-        self.fetch_object_at(id, SimTime::ZERO)
-    }
-
-    /// Cached-content fetch anchored at the epoch.
-    #[deprecated(note = "use fetch_content_at(id, now)")]
-    pub fn fetch_content(&mut self, id: MediaId) -> Result<MediaObject, (u64, Bytes)> {
-        self.fetch_content_at(id, SimTime::ZERO)
     }
 
     // --- Response path ---------------------------------------------------
@@ -824,22 +802,6 @@ impl DbClient {
             env,
             attempts: p.attempts,
             latency,
-        }
-    }
-
-    /// Consume a response frame. Returns the decoded envelope and feeds
-    /// the cache; unknown correlation ids are rejected.
-    ///
-    /// Deprecated shim over [`DbClient::on_frame`] anchored at the epoch.
-    #[deprecated(note = "use on_frame(frame, now) for deadline/retry-aware handling")]
-    pub fn on_response(&mut self, frame: &[u8]) -> Result<Envelope<Response>, DbError> {
-        match self.on_frame(&Bytes::copy_from_slice(frame), SimTime::ZERO) {
-            ClientEvent::Completed { env, .. } => Ok(env),
-            ClientEvent::Failed { error, .. } => Err(error),
-            ClientEvent::RetryScheduled { req_id, .. } => Err(DbError::Unavailable(format!(
-                "request {req_id} backing off for retry"
-            ))),
-            ClientEvent::Ignored => Err(DbError::Malformed("unsolicited response".to_string())),
         }
     }
 
@@ -1036,9 +998,6 @@ mod tests {
         let frame = Response::Ack.encode(999);
         assert_eq!(client.on_frame(&frame, SimTime::ZERO), ClientEvent::Ignored);
         assert_eq!(client.metrics.ignored, 1);
-        #[allow(deprecated)]
-        let legacy = client.on_response(&frame);
-        assert!(legacy.is_err());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use protocol::{
     peek_req_id, peek_response_trace, DbError, Envelope, Request, RequestKind, Response,
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use router::{first_objects, merge_doc_ids, merge_doc_lists, EdgeCache, Route, ShardRouter};
+pub use router::{merge_sorted, EdgeCache, Route, ShardRouter};
 pub use server::{CheckpointStats, DbServer, ImageError, RecoveryReport, ServiceModel, StoreImage};
 pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_MAGIC};
 pub use store::{ContentStore, ObjectStore};

@@ -4,7 +4,7 @@
 //! to: single-key requests (object/courseware/content gets, puts) route
 //! by ring position; catalogue queries (`ListDocs`, `GetKeywordTree`,
 //! `QueryKeyword`) and by-name lookups touch every shard and are
-//! scatter/gathered by the caller with the merge helpers here. A missing
+//! scatter/gathered by the caller with the merge helper here. A missing
 //! shard degrades the merged result — it never blocks it.
 //!
 //! [`EdgeCache`] is the campus-edge tier in front of the ring: media
@@ -18,7 +18,7 @@
 use crate::protocol::Request;
 use crate::ring::HashRing;
 use mits_media::{MediaId, MediaObject};
-use mits_mheg::{MhegId, MhegObject};
+use mits_mheg::MhegId;
 use mits_sim::{FlightKind, FlightRecorder, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -88,28 +88,14 @@ impl ShardRouter {
     }
 }
 
-/// Merge scatter/gathered document lists: concatenate and order by id so
-/// the result is independent of shard arrival order.
-pub fn merge_doc_lists(parts: Vec<Vec<(MhegId, String)>>) -> Vec<(MhegId, String)> {
-    let mut out: Vec<(MhegId, String)> = parts.into_iter().flatten().collect();
+/// Merge scatter/gathered lists (document catalogues, keyword-query
+/// ids): concatenate, sort and deduplicate, so the result is
+/// independent of shard arrival order.
+pub fn merge_sorted<T: Ord>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut out: Vec<T> = parts.into_iter().flatten().collect();
     out.sort();
     out.dedup();
     out
-}
-
-/// Merge scatter/gathered keyword-query results into one sorted,
-/// deduplicated id list.
-pub fn merge_doc_ids(parts: Vec<Vec<MhegId>>) -> Vec<MhegId> {
-    let mut out: Vec<MhegId> = parts.into_iter().flatten().collect();
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// Pick the winning closure from a scattered by-name / by-id lookup:
-/// the first shard that returned objects.
-pub fn first_objects(parts: Vec<Vec<MhegObject>>) -> Option<Vec<MhegObject>> {
-    parts.into_iter().find(|p| !p.is_empty())
 }
 
 /// One cached media object, stamped with the shard and failover epoch it
@@ -332,11 +318,11 @@ mod tests {
     fn merge_helpers_are_order_independent() {
         let a = vec![(MhegId::new(1, 2), "b".to_string())];
         let b = vec![(MhegId::new(1, 1), "a".to_string())];
-        let m1 = merge_doc_lists(vec![a.clone(), b.clone()]);
-        let m2 = merge_doc_lists(vec![b, a]);
+        let m1 = merge_sorted(vec![a.clone(), b.clone()]);
+        let m2 = merge_sorted(vec![b, a]);
         assert_eq!(m1, m2);
         assert_eq!(m1[0].1, "a");
-        let ids = merge_doc_ids(vec![
+        let ids = merge_sorted(vec![
             vec![MhegId::new(1, 3), MhegId::new(1, 1)],
             vec![MhegId::new(1, 1)],
         ]);

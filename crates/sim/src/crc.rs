@@ -7,8 +7,7 @@
 //! implementations: a slice-by-16 table walk as the portable baseline, a
 //! carryless-multiply fold on x86_64 (PCLMULQDQ), and the dedicated CRC
 //! instructions on aarch64 — both detected at runtime and self-checked
-//! against the table path before being trusted. Slice-by-8 stays
-//! callable as an independent cross-check and benchmark reference.
+//! against the table path before being trusted.
 
 /// CRC-32, dispatching to the fastest implementation the host supports:
 /// PCLMULQDQ folding on x86_64, the CRC instructions on aarch64,
@@ -24,30 +23,6 @@ pub fn crc32(data: &[u8]) -> u32 {
         CrcImpl::HwCrc => crc32_hwcrc(data),
         CrcImpl::Slice16 => crc32_slice16(data),
     }
-}
-
-/// Slice-by-8 table implementation (the previous production kernel), kept
-/// callable as an independent cross-check and benchmark reference.
-pub fn crc32_slice8(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes(c[..4].try_into().expect("4 bytes")) ^ crc;
-        let hi = u32::from_le_bytes(c[4..].try_into().expect("4 bytes"));
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
 }
 
 /// Slice-by-16 table implementation: folds 16 message bytes per
@@ -91,8 +66,7 @@ fn crc32_slice16_update(mut crc: u32, data: &[u8]) -> u32 {
 
 /// Lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-time table;
 /// table `k` advances a byte `k` positions further into the message,
-/// letting the slice-by-16 loop fold 16 bytes per iteration (slice-by-8
-/// uses the first 8 tables).
+/// letting the slice-by-16 loop fold 16 bytes per iteration.
 static CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
 
 const fn build_crc_tables() -> [[u32; 256]; 16] {
@@ -321,7 +295,7 @@ mod tests {
     #[test]
     fn every_tier_gives_the_check_value() {
         // CRC-32("123456789") = 0xCBF43926 (the standard check value).
-        for crc in [crc32, crc32_slice8, crc32_slice16] {
+        for crc in [crc32, crc32_slice16] {
             assert_eq!(crc(b"123456789"), 0xCBF4_3926);
             assert_eq!(crc(b""), 0);
         }

@@ -33,9 +33,8 @@ echo "campus rollup matches golden"
 # full-size numbers stay put).
 campus_json="$(mktemp)"
 trap 'rm -f "$trace" "$rollup" "$campus_json"' EXIT
-MITS_CAMPUS_STUDENTS=6 MITS_CAMPUS_THREADS=2 MITS_CAMPUS_CLIPS=2 \
-  MITS_CAMPUS_OUT="$campus_json" \
-  cargo run -q --release -p mits-bench --bin tables -- --exp campus >/dev/null
+cargo run -q --release -p mits-bench --bin tables -- \
+  --exp campus --students 6 --threads 2 --clips 2 --out "$campus_json" >/dev/null
 python3 - "$campus_json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -56,15 +55,14 @@ echo "campus bench json well-formed"
 # and the train fast path must actually beat the per-cell scheduler.
 media_json="$(mktemp)"
 trap 'rm -f "$trace" "$rollup" "$campus_json" "$media_json"' EXIT
-MITS_MEDIA_OUT="$media_json" \
-  cargo run -q --release -p mits-bench --bin tables -- --exp media >/dev/null
+cargo run -q --release -p mits-bench --bin tables -- \
+  --exp media --out "$media_json" >/dev/null
 python3 - "$media_json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
-for key in ("crc_hw_accelerated", "crc_slice8_mbps", "crc_slice16_mbps",
-            "crc_dispatch_mbps", "segment_mbps", "reassemble_mbps",
-            "net_train_mbps", "net_per_cell_mbps", "train_speedup",
-            "fetch200k_kbps"):
+for key in ("crc_hw_accelerated", "crc_slice16_mbps", "crc_dispatch_mbps",
+            "segment_mbps", "reassemble_mbps", "net_train_mbps",
+            "net_per_cell_mbps", "train_speedup", "fetch200k_kbps"):
     assert key in d, f"BENCH_media.json missing {key}"
     if key != "crc_hw_accelerated":
         assert d[key] > 0, f"BENCH_media.json {key} not positive: {d[key]}"
@@ -73,23 +71,13 @@ assert d["train_speedup"] > 1.0, (
 PY
 echo "media bench json well-formed, train fast path engaged"
 
-# API gate: the deprecated run_campus/CampusConfig shim must not be used
-# in-repo outside its own definition and equivalence test.
-if grep -rn --include='*.rs' -E 'run_campus\(|CampusConfig::' crates tests examples \
-    | grep -v 'crates/core/src/campus.rs'; then
-  echo "deprecated campus shim used outside crates/core/src/campus.rs" >&2
-  exit 1
-fi
-echo "no deprecated campus API usage in-repo"
-
 # SLO smoke: a small zero-fault campus must emit valid verdict JSON with
 # zero breaches (warn tiers are informational; a breach here means the
 # default objectives or the campus telemetry regressed).
 slo_json="$(mktemp)"
 trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json"' EXIT
-MITS_SLO_STUDENTS=8 MITS_SLO_THREADS=2 MITS_SLO_CLIPS=2 \
-  MITS_SLO_OUT="$slo_json" \
-  cargo run -q --release -p mits-bench --bin tables -- --exp slo >/dev/null
+cargo run -q --release -p mits-bench --bin tables -- \
+  --exp slo --students 8 --threads 2 --clips 2 --out "$slo_json" >/dev/null
 python3 - "$slo_json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -109,9 +97,8 @@ echo "slo verdicts valid, zero breaches"
 # bound origin load by misses + invalidations.
 shards_json="$(mktemp)"
 trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json"' EXIT
-MITS_SHARDS=3 MITS_SHARDS_STUDENTS=6 MITS_SHARDS_CLIP_BYTES=100000 \
-  MITS_SHARDS_OUT="$shards_json" \
-  cargo run -q --release -p mits-bench --bin tables -- --exp shards >/dev/null
+cargo run -q --release -p mits-bench --bin tables -- \
+  --exp shards --shards 3 --students 6 --clip-bytes 100000 --out "$shards_json" >/dev/null
 python3 - "$shards_json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -140,9 +127,8 @@ echo "fault-storm smoke passed: blast radius contained, storm deterministic"
 # bundles must be byte-identical serial vs parallel.
 forensics_json="$(mktemp)"
 trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json" "$forensics_json"' EXIT
-MITS_FORENSICS_SHARDS=3 MITS_FORENSICS_STUDENTS=6 \
-  MITS_FORENSICS_CLIP_BYTES=100000 MITS_FORENSICS_OUT="$forensics_json" \
-  cargo run -q --release -p mits-bench --bin tables -- --exp forensics >/dev/null
+cargo run -q --release -p mits-bench --bin tables -- \
+  --exp forensics --shards 3 --students 6 --clip-bytes 100000 --out "$forensics_json" >/dev/null
 python3 - "$forensics_json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -180,9 +166,8 @@ echo "forensics smoke passed: bundle names the injected fault, calm twin clean"
 # parse and cover every hop on the victim's route.
 replay_json="$(mktemp)"
 trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json" "$forensics_json" "$replay_json"' EXIT
-MITS_FORENSICS_SHARDS=3 MITS_FORENSICS_STUDENTS=6 \
-  MITS_FORENSICS_CLIP_BYTES=100000 MITS_REPLAY_OUT="$replay_json" \
-  cargo run -q --release -p mits-bench --bin tables -- --exp replay >/dev/null
+cargo run -q --release -p mits-bench --bin tables -- \
+  --exp replay --shards 3 --students 6 --clip-bytes 100000 --out "$replay_json" >/dev/null
 python3 - "$replay_json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -221,9 +206,9 @@ trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json" "$foren
 baseline_students="$(python3 -c 'import json;print(json.load(open("BENCH_campus.json"))["students"])')"
 baseline_threads="$(python3 -c 'import json;print(json.load(open("BENCH_campus.json"))["threads"])')"
 baseline_clips="$(python3 -c 'import json;print(json.load(open("BENCH_campus.json"))["clips_per_student"])')"
-MITS_CAMPUS_STUDENTS="$baseline_students" MITS_CAMPUS_THREADS="$baseline_threads" \
-  MITS_CAMPUS_CLIPS="$baseline_clips" MITS_CAMPUS_OUT="$gate_json" \
-  cargo run -q --release -p mits-bench --bin tables -- --exp campus >/dev/null
+cargo run -q --release -p mits-bench --bin tables -- \
+  --exp campus --students "$baseline_students" --threads "$baseline_threads" \
+  --clips "$baseline_clips" --out "$gate_json" >/dev/null
 python3 - BENCH_campus.json "$gate_json" <<'PY'
 import json, sys
 base = json.load(open(sys.argv[1]))

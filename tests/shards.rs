@@ -3,11 +3,18 @@
 //! queries that degrade to partial results instead of hanging, and a
 //! campus-edge cache whose entries are fenced by failover epochs.
 
+use mits::author::{
+    compile_imd, CompiledCourseware, ElementKind, ImDocument, Scene, Section, Subsection,
+    TimelineEntry,
+};
+use mits::core::system::SystemError;
 use mits::core::{
     fault_storm_slos, sharded_workloads, Campus, CampusRollup, ClientId, FaultStorm, MitsSystem,
     ReportSink, SessionReport, SystemConfig,
 };
-use mits::db::RetryPolicy;
+use mits::db::{RetryPolicy, ShardRouter};
+use mits::media::{CaptureSpec, MediaFormat, MediaObject, ProductionCenter, VideoDims};
+use mits::mheg::MhegId;
 use mits::sim::{SimDuration, SimTime};
 
 const SHARDS: usize = 3;
@@ -122,12 +129,53 @@ fn fault_storm_is_deterministic_under_seed() {
     assert_ne!(a.digest, c.digest, "the seed must reach the storm digest");
 }
 
+/// One keyworded courseware per shard, built the way
+/// `tests/concurrency.rs` builds its loaded server: a one-scene document
+/// tagged `telecom/atm` around a captured video clip. Application ids
+/// are scanned until each root lands on its own shard.
+fn keyworded_docs() -> Vec<(CompiledCourseware, Vec<MediaObject>)> {
+    let router = ShardRouter::new(SHARDS);
+    let mut studio = ProductionCenter::new(21);
+    let mut app = 1000;
+    (0..SHARDS)
+        .map(|d| {
+            let clip = studio.capture(&CaptureSpec::video(
+                format!("clip{d}.mpg"),
+                MediaFormat::Mpeg,
+                SimDuration::from_millis(300),
+                VideoDims::new(160, 120),
+            ));
+            let mut doc = ImDocument::new(&format!("Keyword Course {d}"));
+            doc.keywords = vec!["telecom/atm".into()];
+            doc.sections.push(Section {
+                title: "s".into(),
+                subsections: vec![Subsection {
+                    title: "ss".into(),
+                    scenes: vec![Scene::new("only")
+                        .element("v", ElementKind::Media((&clip).into()))
+                        .entry(TimelineEntry::at_start("v"))],
+                }],
+            });
+            let compiled = loop {
+                app += 1;
+                let compiled = compile_imd(app, &doc);
+                if router.shard_for_object(compiled.root) == d {
+                    break compiled;
+                }
+            };
+            (compiled, vec![clip])
+        })
+        .collect()
+}
+
 /// Scatter/gather queries against a ring with a dead shard degrade to
 /// the reachable shards' results — bounded by the client's retry
-/// deadline, never the hour-long call timeout, and never a hang.
+/// deadline, never the hour-long call timeout, and never a hang. With
+/// no shard reachable they fail instead of answering empty.
 #[test]
 fn scatter_gather_degrades_to_partial_results_not_a_hang() {
     let workloads = sharded_workloads(SHARDS, 1, 40_000);
+    let docs = keyworded_docs();
     let cfg = SystemConfig::broadband(1)
         .with_shards(SHARDS)
         .with_retry(RetryPolicy::interactive())
@@ -136,16 +184,27 @@ fn scatter_gather_degrades_to_partial_results_not_a_hang() {
     for w in &workloads {
         sys.load_doc(&w.objects, &w.media, w.root);
     }
+    for (c, media) in &docs {
+        sys.load_doc(&c.objects, media, c.root);
+    }
 
     let (all, _) = sys.get_list_doc(ClientId(0)).unwrap();
-    assert_eq!(all.len(), SHARDS, "one document per shard before the crash");
+    assert_eq!(
+        all.len(),
+        2 * SHARDS,
+        "two documents per shard before the crash"
+    );
 
     sys.pump_until(SimTime::from_millis(2)).unwrap();
     assert!(!sys.server_up(sys.server_index(VICTIM, 0)), "victim down");
 
     let before = sys.now();
     let (partial, _) = sys.get_list_doc(ClientId(0)).unwrap();
-    assert_eq!(partial.len(), SHARDS - 1, "victim's entry degraded away");
+    assert_eq!(
+        partial.len(),
+        2 * (SHARDS - 1),
+        "victim's entries degraded away"
+    );
     assert!(partial
         .iter()
         .all(|(id, _)| sys.shard_of_object(*id) != VICTIM));
@@ -155,10 +214,46 @@ fn scatter_gather_degrades_to_partial_results_not_a_hang() {
         "the dead leg resolved at the client's 10 s deadline, not the call timeout"
     );
 
-    // The keyword tree scatters the same way: reachable shards merge,
-    // the dead one contributes nothing, and the call still returns.
+    // The keyword query and the keyword tree scatter the same way:
+    // reachable shards merge, the dead one contributes nothing, and the
+    // call still returns.
+    let mut reachable: Vec<MhegId> = docs
+        .iter()
+        .map(|(c, _)| c.root)
+        .filter(|r| sys.shard_of_object(*r) != VICTIM)
+        .collect();
+    reachable.sort();
+    assert_eq!(reachable.len(), SHARDS - 1);
+    let (ids, _) = sys.get_doc_by_keyword(ClientId(0), "telecom").unwrap();
+    assert_eq!(ids, reachable, "exactly the reachable shards' documents");
     let (tree, _) = sys.get_keyword_tree(ClientId(0)).unwrap();
-    assert!(tree.is_empty(), "these workloads carry no keywords");
+    assert_eq!(tree.lookup_subtree("telecom"), reachable);
+
+    // With every shard's primary down no leg answers: each gathered
+    // facade fails with a leg's error instead of an empty Ok.
+    let mut cfg = SystemConfig::broadband(1)
+        .with_shards(SHARDS)
+        .with_retry(RetryPolicy::interactive());
+    for shard in 0..SHARDS {
+        cfg = cfg.with_shard_crash(SimTime::from_millis(1), shard, 0);
+    }
+    let mut dark = MitsSystem::build(&cfg).unwrap();
+    for (c, media) in &docs {
+        dark.load_doc(&c.objects, media, c.root);
+    }
+    dark.pump_until(SimTime::from_millis(2)).unwrap();
+    assert!(matches!(
+        dark.get_list_doc(ClientId(0)),
+        Err(SystemError::Db(_))
+    ));
+    assert!(matches!(
+        dark.get_keyword_tree(ClientId(0)),
+        Err(SystemError::Db(_))
+    ));
+    assert!(matches!(
+        dark.get_doc_by_keyword(ClientId(0), "telecom"),
+        Err(SystemError::Db(_))
+    ));
 }
 
 /// A hot-document flash crowd with the edge tier on: the origin serves
