@@ -8,7 +8,7 @@
 //! courseware delivery and shows up in experiment E-BB.
 //!
 //! Segmentation writes the PDU **once** into a padded shared buffer (the
-//! *run image*) and hands every cell a 48-byte [`Payload`] window into it.
+//! *run image*) and hands every cell a 48-byte [`Bytes`] window into it.
 //! Reassembly detects when the arriving cells are still consecutive
 //! windows of one buffer (the common clean-delivery case) and returns a
 //! zero-copy view of it; the cell-train fast path skips the per-cell form
@@ -22,7 +22,6 @@
 
 use crate::cell::{AtmCell, CELL_PAYLOAD};
 use bytes::Bytes;
-use mits_sim::Payload;
 use std::sync::Arc;
 
 /// Errors from AAL5 reassembly.
@@ -76,7 +75,7 @@ const TRAILER: usize = 8;
 #[derive(Debug, Clone)]
 pub struct RunImage {
     /// The padded body, trailer included, as a shared view.
-    pub payload: Payload,
+    pub payload: Bytes,
     /// Number of 48-byte cells in the run.
     pub ncells: usize,
 }
@@ -142,7 +141,7 @@ fn fresh_run(pdu: &[&[u8]]) -> RunImage {
     // SAFETY: `write_run` initialized every byte of the slice.
     let arc: Arc<[u8]> = unsafe { arc.assume_init() };
     RunImage {
-        payload: Payload::from_arc(arc),
+        payload: Bytes::from_shared(arc),
         ncells,
     }
 }
@@ -181,15 +180,15 @@ pub fn segment_run_pooled(pdu: &[&[u8]], pool: &mut Vec<Arc<[u8]>>) -> RunImage 
         if pool.len() >= POOL_MAX {
             pool.swap_remove(0);
         }
-        pool.push(Arc::clone(run.payload.backing()));
+        pool.push(Arc::clone(run.payload.shared()));
         return run;
     };
     let mut arc = pool.swap_remove(i);
     let buf = Arc::get_mut(&mut arc).expect("uniquely owned");
-    // SAFETY: `buf` is `total` bytes, uniquely owned here (no `Payload`
-    // or `Bytes` views it, so no part of `pdu` can alias it).
+    // SAFETY: `buf` is `total` bytes, uniquely owned here (no `Bytes`
+    // views it, so no part of `pdu` can alias it).
     unsafe { write_run(buf.as_mut_ptr(), pdu, len, total) };
-    let view = Payload::from_arc(Arc::clone(&arc));
+    let view = Bytes::from_shared(Arc::clone(&arc));
     pool.push(arc);
     RunImage {
         payload: view,
@@ -274,12 +273,12 @@ pub fn reassemble(cells: &[AtmCell]) -> Result<Bytes, Aal5Error> {
     // Fast path: all payloads are still consecutive windows of the single
     // buffer segmentation built — validate in place and return a zero-copy
     // view of the original bytes.
-    if cells
-        .windows(2)
-        .all(|w| w[0].payload.is_contiguous_with(&w[1].payload))
-    {
-        let (base, _) = cells[0].payload.range();
-        let arc = Arc::clone(cells[0].payload.backing());
+    if cells.windows(2).all(|w| {
+        Arc::ptr_eq(w[0].payload.shared(), w[1].payload.shared())
+            && w[0].payload.shared_range().1 == w[1].payload.shared_range().0
+    }) {
+        let (base, _) = cells[0].payload.shared_range();
+        let arc = Arc::clone(cells[0].payload.shared());
         let length = validated_length(&arc[base..base + total])?;
         return Ok(Bytes::from_shared_range(arc, base, base + length));
     }
@@ -298,12 +297,12 @@ pub fn reassemble(cells: &[AtmCell]) -> Result<Bytes, Aal5Error> {
 /// padded body (as built by [`segment_run`]); the CRC and length field
 /// are still validated honestly, so a corrupted buffer is caught exactly
 /// as it would be cell-by-cell.
-pub fn reassemble_run(run: &Payload) -> Result<Bytes, Aal5Error> {
-    let (start, end) = run.range();
+pub fn reassemble_run(run: &Bytes) -> Result<Bytes, Aal5Error> {
+    let (start, end) = run.shared_range();
     if (end - start) % CELL_PAYLOAD != 0 || end == start {
         return Err(Aal5Error::BadLength);
     }
-    let arc = Arc::clone(run.backing());
+    let arc = Arc::clone(run.shared());
     let length = validated_length(&arc[start..end])?;
     Ok(Bytes::from_shared_range(arc, start, start + length))
 }
@@ -389,7 +388,9 @@ mod tests {
     fn corruption_detected_by_crc() {
         let payload = vec![1u8; 200];
         let mut cells = segment(0, 5, 1, &payload);
-        cells[1].payload.make_mut()[10] ^= 0xFF;
+        let mut bad = cells[1].payload.to_vec();
+        bad[10] ^= 0xFF;
+        cells[1] = cells[1].clone().with_payload(&bad);
         assert_eq!(reassemble(&cells), Err(Aal5Error::BadCrc));
     }
 
@@ -471,14 +472,14 @@ mod tests {
         assert_eq!(&via_cells[..], &payload[..]);
         assert_eq!(&via_run[..], &payload[..]);
         // Both are zero-copy views of the same run buffer.
-        assert!(Arc::ptr_eq(via_run.shared(), run.payload.backing()));
+        assert!(Arc::ptr_eq(via_run.shared(), run.payload.shared()));
     }
 
     #[test]
     fn clean_reassembly_is_zero_copy() {
         let payload: Vec<u8> = (0..5_000).map(|i| (i % 256) as u8).collect();
         let cells = segment(0, 5, 3, &payload);
-        let seg_arc = Arc::clone(cells[0].payload.backing());
+        let seg_arc = Arc::clone(cells[0].payload.shared());
         let back = reassemble(&cells).unwrap();
         assert_eq!(&back[..], &payload[..]);
         assert!(
@@ -489,13 +490,24 @@ mod tests {
 
     #[test]
     fn mutated_cell_falls_back_to_copy_path() {
-        // A CoW-mutated cell breaks contiguity; reassembly must still work
-        // when the mutation is reverted byte-for-byte (copy path, valid CRC).
+        // A cell rewritten into its own buffer breaks contiguity;
+        // reassembly must still work when the bytes are unchanged (copy
+        // path, valid CRC).
         let payload = vec![5u8; 500];
         let mut cells = segment(0, 5, 1, &payload);
-        cells[2].payload.make_mut()[0] = 5; // same value: CRC stays valid
+        let seg_arc = Arc::clone(cells[0].payload.shared());
+        cells[2] = cells[2].clone().with_payload(&cells[2].payload);
         let back = reassemble(&cells).unwrap();
         assert_eq!(&back[..], &payload[..]);
+        assert!(!Arc::ptr_eq(back.shared(), &seg_arc), "copied, not a view");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn run_window_past_the_image_panics() {
+        let mut run = segment_run(&[0u8; 40]);
+        run.ncells = 2;
+        cells_from_run(0, 5, 1, &run, &mut Vec::new());
     }
 
     #[test]
@@ -504,7 +516,7 @@ mod tests {
         let run = segment_run(&payload);
         let mut raw: Vec<u8> = run.payload.to_vec();
         raw[17] ^= 0x40;
-        let corrupted = Payload::from(raw);
+        let corrupted = Bytes::from(raw);
         assert_eq!(reassemble_run(&corrupted), Err(Aal5Error::BadCrc));
     }
 }

@@ -5,12 +5,12 @@
 //! real header carries implicitly (which PDU and which position within it,
 //! recoverable on real hardware from arrival order).
 //!
-//! The payload is a [`Payload`] view, normally a 48-byte window into the
+//! The payload is a [`Bytes`] view, normally a 48-byte window into the
 //! PDU-wide buffer built by AAL5 segmentation: cloning a cell (which the
 //! switch fabric, per-VC queues and retransmit buffers do constantly) bumps
 //! a reference count instead of copying bytes.
 
-use mits_sim::Payload;
+use bytes::Bytes;
 use std::sync::{Arc, OnceLock};
 
 /// Total cell size on the wire, bytes.
@@ -23,10 +23,10 @@ pub const CELL_HEADER: usize = CELL_SIZE - CELL_PAYLOAD;
 pub const CELL_BITS: u64 = (CELL_SIZE as u64) * 8;
 
 /// All-zero 48-byte payload, shared by every freshly built cell.
-fn zero_payload() -> Payload {
+fn zero_payload() -> Bytes {
     static ZERO: OnceLock<Arc<[u8]>> = OnceLock::new();
     let arc = ZERO.get_or_init(|| Arc::from([0u8; CELL_PAYLOAD].as_slice()));
-    Payload::from_arc(Arc::clone(arc))
+    Bytes::from_shared(Arc::clone(arc))
 }
 
 /// One ATM cell.
@@ -46,7 +46,7 @@ pub struct AtmCell {
     /// Cell index within its PDU.
     pub cell_index: u32,
     /// Payload (always [`CELL_PAYLOAD`] bytes; final cell is padded).
-    pub payload: Payload,
+    pub payload: Bytes,
 }
 
 impl AtmCell {
@@ -68,7 +68,7 @@ impl AtmCell {
         assert!(data.len() <= CELL_PAYLOAD, "payload too large for a cell");
         let mut buf = [0u8; CELL_PAYLOAD];
         buf[..data.len()].copy_from_slice(data);
-        self.payload = Payload::copy_from_slice(&buf);
+        self.payload = Bytes::copy_from_slice(&buf);
         self
     }
 
@@ -77,7 +77,7 @@ impl AtmCell {
     ///
     /// # Panics
     /// Panics unless `view` is exactly [`CELL_PAYLOAD`] bytes.
-    pub fn with_payload_view(mut self, view: Payload) -> Self {
+    pub fn with_payload_view(mut self, view: Bytes) -> Self {
         assert!(view.len() == CELL_PAYLOAD, "cell view must be 48 bytes");
         self.payload = view;
         self
@@ -111,12 +111,13 @@ mod tests {
 
     #[test]
     fn payload_view_shares_storage() {
-        let pdu = Payload::from(vec![7u8; 96]);
+        let pdu = Bytes::from(vec![7u8; 96]);
         let c = AtmCell::new(0, 1, 0, 0, false).with_payload_view(pdu.slice(48..96));
-        assert!(Arc::ptr_eq(c.payload.backing(), pdu.backing()));
+        assert!(Arc::ptr_eq(c.payload.shared(), pdu.shared()));
+        assert_eq!(c.payload.shared_range(), (48, 96));
         let clone = c.clone();
         assert!(
-            Arc::ptr_eq(clone.payload.backing(), pdu.backing()),
+            Arc::ptr_eq(clone.payload.shared(), pdu.shared()),
             "clone is a view too"
         );
     }
@@ -124,7 +125,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "48 bytes")]
     fn short_view_panics() {
-        let pdu = Payload::from(vec![0u8; 10]);
+        let pdu = Bytes::from(vec![0u8; 10]);
         let _ = AtmCell::new(0, 1, 0, 0, false).with_payload_view(pdu);
     }
 }

@@ -161,7 +161,9 @@ proptest! {
     ) {
         let mut cells = aal5::segment(0, 7, 3, &payload);
         let idx = ((cells.len() - 1) as f64 * cell_frac) as usize;
-        cells[idx].payload.make_mut()[byte] ^= flip;
+        let mut bad = cells[idx].payload.to_vec();
+        bad[byte] ^= flip;
+        cells[idx] = cells[idx].clone().with_payload(&bad);
         prop_assert!(aal5::reassemble(&cells).is_err());
     }
 

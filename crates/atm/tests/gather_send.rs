@@ -220,7 +220,7 @@ proptest! {
             let fresh = aal5::segment_run(&msg);
             prop_assert_eq!(pooled.ncells, fresh.ncells);
             prop_assert_eq!(&pooled.payload[..], &fresh.payload[..]);
-            prop_assert!(!Arc::ptr_eq(pooled.payload.backing(), fresh.payload.backing()));
+            prop_assert!(!Arc::ptr_eq(pooled.payload.shared(), fresh.payload.shared()));
         }
         // Every round after the first rewrote the first round's buffer.
         prop_assert!(pool.len() <= 1, "pool grew to {} buffers", pool.len());

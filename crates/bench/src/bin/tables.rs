@@ -14,7 +14,6 @@
 //! --clip-bytes N       bytes per clip         [campus, slo 65536; storm 300000]
 //! --shards N           storm shards, >= 2     [3]
 //! --victim N           storm victim shard     [1]
-//! --max-concurrent N   admission window, 0 = one per worker  [0]
 //! --flight-ring N      flight-recorder ring cap, 0 = default  [0]
 //! --flash-clients N    shards flash-crowd clients  [8]
 //! --out FILE           JSON output  [BENCH_<exp>.json; slo writes none]
@@ -106,7 +105,6 @@ struct Options {
     clip_bytes: Option<usize>,
     shards: usize,
     victim: usize,
-    max_concurrent: usize,
     flight_ring: usize,
     flash_clients: usize,
     out: Option<String>,
@@ -122,7 +120,6 @@ impl Default for Options {
             clip_bytes: None,
             shards: 3,
             victim: 1,
-            max_concurrent: 0,
             flight_ring: 0,
             flash_clients: 8,
             out: None,
@@ -155,7 +152,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             "--clip-bytes" => o.clip_bytes = Some(number()?),
             "--shards" => o.shards = number()?,
             "--victim" => o.victim = number()?,
-            "--max-concurrent" => o.max_concurrent = number()?,
             "--flight-ring" => o.flight_ring = number()?,
             "--flash-clients" => o.flash_clients = number()?,
             "--out" => o.out = Some(value()?.to_string()),
@@ -178,8 +174,8 @@ fn usage() -> String {
     let names: Vec<&str> = experiment_names().collect();
     format!(
         "usage: tables [--exp {}] [--students N] [--threads N] [--clips N] \
-         [--clip-bytes N] [--shards N] [--victim N] [--max-concurrent N] \
-         [--flight-ring N] [--flash-clients N] [--out FILE]",
+         [--clip-bytes N] [--shards N] [--victim N] [--flight-ring N] \
+         [--flash-clients N] [--out FILE]",
         names.join("|")
     )
 }
@@ -1086,11 +1082,10 @@ impl ReportSink for BenchJsonSink {
         self.report.rollup(rollup);
         let speedup = self.serial.wall_secs / rollup.wall_secs.max(1e-9);
         let json = format!(
-            "{{\n  \"experiment\": \"campus\",\n  \"students\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"max_concurrent\": {},\n  \"peak_rss_mb\": {:.1},\n  \"base_seed\": 42,\n  \"clips_per_student\": {},\n  \"clip_bytes\": {},\n  \"digest\": \"0x{:016x}\",\n  \"digest_match_1_vs_n_threads\": {},\n  \"metrics_match_1_vs_n_threads\": {},\n  \"traces_sampled\": {},\n  \"slo_breaches\": {},\n  \"bytes_simulated\": {},\n  \"wall_secs_1_thread\": {:.4},\n  \"wall_secs_n_threads\": {:.4},\n  \"speedup_n_over_1\": {:.3},\n  \"students_per_sec\": {:.2},\n  \"bytes_per_sec\": {:.1},\n  \"session_ms_p50\": {:.3},\n  \"session_ms_p99\": {:.3},\n  \"shard_wall_ms_p50\": {:.3},\n  \"shard_wall_ms_p99\": {:.3},\n  \"fetch200k_kbps_seed\": {:.1},\n  \"fetch200k_kbps_now\": {:.1},\n  \"fetch200k_speedup\": {:.2}\n}}\n",
+            "{{\n  \"experiment\": \"campus\",\n  \"students\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"peak_rss_mb\": {:.1},\n  \"base_seed\": 42,\n  \"clips_per_student\": {},\n  \"clip_bytes\": {},\n  \"digest\": \"0x{:016x}\",\n  \"digest_match_1_vs_n_threads\": {},\n  \"metrics_match_1_vs_n_threads\": {},\n  \"traces_sampled\": {},\n  \"slo_breaches\": {},\n  \"bytes_simulated\": {},\n  \"wall_secs_1_thread\": {:.4},\n  \"wall_secs_n_threads\": {:.4},\n  \"speedup_n_over_1\": {:.3},\n  \"students_per_sec\": {:.2},\n  \"bytes_per_sec\": {:.1},\n  \"session_ms_p50\": {:.3},\n  \"session_ms_p99\": {:.3},\n  \"shard_wall_ms_p50\": {:.3},\n  \"shard_wall_ms_p99\": {:.3},\n  \"fetch200k_kbps_seed\": {:.1},\n  \"fetch200k_kbps_now\": {:.1},\n  \"fetch200k_speedup\": {:.2}\n}}\n",
             rollup.students,
             rollup.threads,
             self.host_cores,
-            rollup.max_concurrent,
             peak_rss_mb(),
             self.clips,
             self.clip_bytes,
@@ -1120,7 +1115,7 @@ impl ReportSink for BenchJsonSink {
 fn campus(opts: &Options) {
     header(
         "CAMPUS",
-        "memory-bounded campus: streaming session lifecycle over work-stealing shards",
+        "memory-bounded campus: streaming session lifecycle over in-order batch claims",
     );
     let cores = host_cores();
     let students = opts.students.unwrap_or(10_000);
@@ -1131,7 +1126,7 @@ fn campus(opts: &Options) {
     let clip_bytes = opts.clip_bytes.unwrap_or(64 * 1024);
     // The flight-recorder ring never reaches the digest, so its cap is
     // safe to vary per run.
-    let (max_concurrent, flight_ring) = (opts.max_concurrent, opts.flight_ring);
+    let flight_ring = opts.flight_ring;
     let out = opts.out.as_deref().unwrap_or("BENCH_campus.json");
 
     let fetch_kbps = fetch_microbench();
@@ -1144,7 +1139,6 @@ fn campus(opts: &Options) {
     let workload = campus_workload(clips, clip_bytes);
     let serial = Campus::new(students, SEED)
         .threads(1)
-        .max_concurrent(max_concurrent)
         .flight_ring(flight_ring)
         .workload(workload.clone())
         .run()
@@ -1160,7 +1154,6 @@ fn campus(opts: &Options) {
     };
     Campus::new(students, SEED)
         .threads(threads)
-        .max_concurrent(max_concurrent)
         .flight_ring(flight_ring)
         .workload(workload)
         .run_with(&mut sink)
@@ -1193,11 +1186,10 @@ fn campus(opts: &Options) {
     }
     println!(
         "digest 0x{:016x} identical on 1 and {} threads; {speedup:.2}x on {} core(s); \
-         window {}; peak RSS {:.1} MB",
+         peak RSS {:.1} MB",
         parallel.digest,
         parallel.threads,
         cores,
-        parallel.max_concurrent,
         peak_rss_mb()
     );
     println!("wrote {out}");
@@ -1215,7 +1207,6 @@ fn slo(opts: &Options) {
     let workload = campus_workload(opts.clips, opts.clip_bytes.unwrap_or(64 * 1024));
     let report = Campus::new(opts.students.unwrap_or(16), SEED)
         .threads(opts.threads.unwrap_or(4))
-        .max_concurrent(opts.max_concurrent)
         .flight_ring(opts.flight_ring)
         .workload(workload)
         .run()
@@ -1255,7 +1246,6 @@ fn slo(opts: &Options) {
 struct StormCampaign {
     students: usize,
     threads: usize,
-    max_concurrent: usize,
     flight_ring: usize,
     workloads: Vec<CampusWorkload>,
     storm: FaultStorm,
@@ -1271,7 +1261,6 @@ impl StormCampaign {
         StormCampaign {
             students,
             threads: opts.threads.unwrap_or(2),
-            max_concurrent: opts.max_concurrent,
             flight_ring: opts.flight_ring,
             workloads: sharded_workloads(
                 opts.shards,
@@ -1297,7 +1286,6 @@ impl StormCampaign {
         let storm = self.storm.clone();
         let campus = Campus::new(self.students, SEED)
             .threads(threads)
-            .max_concurrent(self.max_concurrent)
             .flight_ring(self.flight_ring)
             .workloads(self.workloads.clone())
             .slos(fault_storm_slos(
@@ -1581,7 +1569,7 @@ mod tests {
         assert_eq!(parse("").unwrap(), Options::default());
         let o = parse(
             "--exp shards --students 6 --threads 2 --clips 3 --clip-bytes 100000 --shards 4 \
-             --victim 3 --max-concurrent 5 --flight-ring 64 --flash-clients 7 --out x.json",
+             --victim 3 --flight-ring 64 --flash-clients 7 --out x.json",
         );
         let want = Options {
             exp: Some("shards"),
@@ -1591,7 +1579,6 @@ mod tests {
             clip_bytes: Some(100_000),
             shards: 4,
             victim: 3,
-            max_concurrent: 5,
             flight_ring: 64,
             flash_clients: 7,
             out: Some("x.json".into()),

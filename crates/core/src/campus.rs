@@ -7,25 +7,25 @@
 //! on one virtual clock; a campus run executes the population as a stream
 //! of short-lived sessions over a pool of worker threads.
 //!
-//! Three mechanisms keep live memory bounded by *concurrent* sessions,
-//! never by population:
+//! Two mechanisms keep live memory bounded by the worker count, never by
+//! population:
 //!
-//! * **Session lifecycle (`admit → run → retire`)** — a student exists as
+//! * **Session lifecycle (`claim → run → retire`)** — a student exists as
 //!   a compact [`SessionSpec`] (index + derived seed) until a worker
-//!   admits it through the [`Campus::max_concurrent`] admission window,
-//!   builds its `MitsSystem`, runs the fetches, and retires it. Retiring
+//!   claims its batch, builds its `MitsSystem`, runs the fetches, and
+//!   retires it. A worker runs one session at a time, so
+//!   [`Campus::threads`] is also the number of live sessions. Retiring
 //!   folds the session's digest, metrics and (if sampled) trace into
 //!   per-batch accumulators and frees the whole per-student world.
-//! * **Work-stealing batch queue** — student indices are grouped into
-//!   contiguous batches; each worker starts with its own span of batches
-//!   and steals from the most-loaded peer when it runs dry, so a straggler
-//!   session delays only its own batch, not a statically-partitioned
-//!   slice of the population.
-//! * **Streaming merge** — completed batches flush through an in-order
-//!   frontier: batch *i* streams into the rollup (and into any
-//!   [`ReportSink`]) as soon as every batch before it has, then its
-//!   buffers are dropped. The out-of-order window is a handful of batches
-//!   (stragglers), never the population.
+//! * **In-order claims, streaming merge** — student indices are grouped
+//!   into contiguous batches, and every worker claims the next batch off
+//!   one shared cursor, so batches start in index order. Completed
+//!   batches flush through an in-order frontier: batch *i* streams into
+//!   the rollup (and into any [`ReportSink`]) as soon as every batch
+//!   before it has, then its buffers are dropped. Since every earlier
+//!   batch was claimed first, the batches parked behind the frontier are
+//!   the ones other workers finish while the oldest running batch
+//!   completes — a function of stragglers, never of the population.
 //!
 //! The courseware is **published once per layout, then mounted**: the
 //! first session needing a (workload, shards, replica) combination
@@ -39,9 +39,9 @@
 //! derived from `(base_seed, i)`, every merge walks strict index order,
 //! and nothing host-dependent reaches a digest — so the campus digest,
 //! merged metrics rollup, sampled-trace bundle and SLO verdicts are
-//! byte-identical whether the sessions ran on one thread or eight, under
-//! an admission window of 1 or of the whole population. Host wall-clock
-//! is reported for throughput numbers but never folded into a digest.
+//! byte-identical whether the sessions ran on one thread or eight. Host
+//! wall-clock is reported for throughput numbers but never folded into a
+//! digest.
 //!
 //! Telemetry scales the same way: every session's
 //! [`MetricsRegistry`](mits_sim::MetricsRegistry) folds straight into its
@@ -62,9 +62,9 @@ use mits_sim::{
     Histogram, MetricsSnapshot, ReplayBundle, SampleReason, SessionTail, SimDuration, SimTime, Slo,
     SloInput, SloReport, TailSignals, Timeline, TimelineRecorder, TraceSampler,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Histogram geometry for per-session simulated time, shared by every
@@ -81,8 +81,11 @@ const WALL_SECS_BINS: usize = 60_000;
 /// byte counts.
 const SESSION_FAILED_MARK: u64 = 0xFA11_ED00_5E55_10FF;
 
-/// Default timeline window: 250 ms of session-local virtual time.
-const TIMELINE_WINDOW_MS: u64 = 250;
+/// Timeline window: 250 ms of session-local virtual time.
+const TIMELINE_WINDOW: SimDuration = SimDuration::from_millis(250);
+
+/// Sessions simulating longer than this are tail-sampled as slow.
+const SLOW_SESSION: SimDuration = SimDuration::from_secs(30);
 
 /// Campus-wide cap on retained flight-recorder tails. Tails are kept
 /// only for degraded/failed sessions and only up to this many (in
@@ -109,9 +112,9 @@ pub fn host_cores() -> usize {
     1
 }
 
-/// Everything the campus knows about a student before admission: its
-/// index and derived seed. A million students is a million of these —
-/// two words each — not a million simulated worlds.
+/// Everything the campus knows about a student before its session runs:
+/// its index and derived seed. A million students is a million of these
+/// — two words each — not a million simulated worlds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionSpec {
     /// Student index in `0..students`.
@@ -190,8 +193,6 @@ pub struct CampusRollup {
     pub students: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Admission window the run was bounded by.
-    pub max_concurrent: usize,
     /// FNV fold over per-session digests in student-index order.
     pub digest: u64,
     /// Total bytes delivered across all sessions.
@@ -214,10 +215,10 @@ pub struct CampusRollup {
 
 /// A consumer of campus output, fed *while the campus runs* instead of
 /// from a buffered report. All callbacks arrive in deterministic
-/// student-index order regardless of thread count, work stealing or the
-/// admission window; `rollup` is called exactly once at the end of a
-/// successful run. [`CampusReport`] is one provided sink; `tables --exp
-/// campus` streams into its own JSON-writing sink.
+/// student-index order regardless of thread count or completion order;
+/// `rollup` is called exactly once at the end of a successful run.
+/// [`CampusReport`] is one provided sink; `tables --exp campus` streams
+/// into its own JSON-writing sink.
 pub trait ReportSink: Send {
     /// A session retired. Called in student-index order.
     fn session(&mut self, _report: &SessionReport) {}
@@ -237,8 +238,6 @@ pub struct CampusReport {
     pub students: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Admission window the run was bounded by.
-    pub max_concurrent: usize,
     /// FNV fold over per-session digests in student-index order.
     pub digest: u64,
     /// Total bytes delivered across all sessions.
@@ -279,7 +278,6 @@ impl CampusReport {
         CampusReport {
             students: 0,
             threads: 0,
-            max_concurrent: 0,
             digest: 0,
             bytes: 0,
             sessions_failed: 0,
@@ -288,7 +286,7 @@ impl CampusReport {
             metrics: MetricsSnapshot::new(),
             traces: Vec::new(),
             slo: SloReport::default(),
-            timeline: Timeline::new(SimDuration::from_millis(TIMELINE_WINDOW_MS)),
+            timeline: Timeline::new(TIMELINE_WINDOW),
             forensics: Vec::new(),
             wall_hist: Histogram::new(0.0, WALL_SECS_HI, WALL_SECS_BINS),
         }
@@ -365,7 +363,6 @@ impl ReportSink for CampusReport {
     fn rollup(&mut self, rollup: &CampusRollup) {
         self.students = rollup.students;
         self.threads = rollup.threads;
-        self.max_concurrent = rollup.max_concurrent;
         self.digest = rollup.digest;
         self.bytes = rollup.bytes;
         self.sessions_failed = rollup.sessions_failed;
@@ -645,7 +642,6 @@ type SessionConfigFn = dyn Fn(&SessionSpec, SystemConfig) -> SystemConfig + Send
 /// # fn demo(workload: CampusWorkload) -> Result<(), mits_core::system::SystemError> {
 /// let report = Campus::new(10_000, 42)
 ///     .threads(8)
-///     .max_concurrent(64)
 ///     .workload(workload)
 ///     .run()?;
 /// assert_eq!(report.students, 10_000);
@@ -653,22 +649,17 @@ type SessionConfigFn = dyn Fn(&SessionSpec, SystemConfig) -> SystemConfig + Send
 /// # }
 /// ```
 ///
-/// `threads(0)` (the default) sizes the pool to [`host_cores`];
-/// `max_concurrent(0)` (the default) admits as many sessions as there
-/// are workers. Lowering `max_concurrent` below the worker count bounds
-/// live memory harder at the cost of idle workers; results never change.
+/// `threads(0)` (the default) sizes the pool to [`host_cores`]. Each
+/// worker runs one session at a time, so the thread count is also the
+/// number of live sessions; results never depend on it.
 pub struct Campus {
     students: usize,
     base_seed: u64,
     threads: usize,
-    max_concurrent: usize,
-    batch: usize,
     trace_sample_rate: f64,
-    slow_session: SimDuration,
     workloads: Vec<CampusWorkload>,
     slos: Option<Vec<Slo>>,
     session_config: Option<Arc<SessionConfigFn>>,
-    timeline_window: SimDuration,
     fault_schedule: Vec<FaultWindow>,
     flight_ring: usize,
 }
@@ -681,39 +672,19 @@ impl Campus {
             students,
             base_seed,
             threads: 0,
-            max_concurrent: 0,
-            batch: 0,
             trace_sample_rate: 0.05,
-            slow_session: SimDuration::from_secs(30),
             workloads: Vec::new(),
             slos: None,
             session_config: None,
-            timeline_window: SimDuration::from_millis(TIMELINE_WINDOW_MS),
             fault_schedule: Vec::new(),
             flight_ring: mits_sim::FLIGHT_RING_CAP,
         }
     }
 
-    /// Worker threads; 0 = auto ([`host_cores`]), 1 runs inline on the
-    /// caller's thread.
+    /// Worker threads, each running one session at a time; 0 = auto
+    /// ([`host_cores`]), 1 runs inline on the caller's thread.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Admission window: at most this many sessions live at once,
-    /// bounding memory by concurrency instead of population. 0 = one
-    /// per worker, capped at [`host_cores`].
-    pub fn max_concurrent(mut self, k: usize) -> Self {
-        self.max_concurrent = k;
-        self
-    }
-
-    /// Students per work-stealing batch; 0 = auto-sized from the
-    /// population and worker count. Batch size is independent of the
-    /// thread count, so it never reaches the digest.
-    pub fn batch(mut self, n: usize) -> Self {
-        self.batch = n;
         self
     }
 
@@ -747,23 +718,6 @@ impl Campus {
     /// Anomalous sessions are kept regardless (tail sampling).
     pub fn trace_sample_rate(mut self, rate: f64) -> Self {
         self.trace_sample_rate = rate;
-        self
-    }
-
-    /// Sessions simulating longer than this are tail-sampled as slow.
-    pub fn slow_session(mut self, d: SimDuration) -> Self {
-        self.slow_session = d;
-        self
-    }
-
-    /// Width of the windowed telemetry timeline (session-local virtual
-    /// time; default 250 ms). Zero keeps the default. The window width
-    /// reaches the timeline bytes, so compare runs only at equal
-    /// widths.
-    pub fn timeline_window(mut self, w: SimDuration) -> Self {
-        if !w.is_zero() {
-            self.timeline_window = w;
-        }
         self
     }
 
@@ -822,43 +776,33 @@ impl Campus {
         } else {
             self.threads
         };
-        let batch = if self.batch == 0 {
-            (students / (threads.max(1) * 4)).clamp(1, 64)
-        } else {
-            self.batch.max(1)
-        };
+        let batch = (students / (threads.max(1) * 4)).clamp(1, 64);
         let n_batches = students.div_ceil(batch);
         let workers = threads.max(1).min(n_batches.max(1));
-        let max_concurrent = if self.max_concurrent == 0 {
-            // One live session per worker, capped at the physical core
-            // count: admitting more concurrent sessions than cores can
-            // run only grows live memory and thrashes the cache. Only
-            // throughput depends on this; results never do.
-            workers.min(host_cores()).max(1)
-        } else {
-            self.max_concurrent
-        };
         let sampler = TraceSampler::new(self.base_seed, self.trace_sample_rate)
-            .with_latency_threshold(self.slow_session);
-        let tl_window = self.timeline_window;
+            .with_latency_threshold(SLOW_SESSION);
         let start = Instant::now();
 
-        let queue = BatchQueue::new(n_batches, workers);
-        let window = AdmissionWindow::new(max_concurrent);
+        // The next unclaimed batch. Claims run in index order, so the
+        // merge only ever waits on a batch that is already running; a
+        // fatal error stores `n_batches` to stop the pool. Relaxed is
+        // enough: `fetch_add` hands out each index once under any
+        // ordering, and results reach the merge through its mutex.
+        let cursor = AtomicUsize::new(0);
         let images = CourseImages::default();
-        let merge = Mutex::new(MergeState::new(sink, tl_window));
+        let merge = Mutex::new(MergeState::new(sink));
         let fatal: Mutex<Option<SystemError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
 
-        let work = |worker: usize| {
+        let work = || {
             let mut scratch = SessionScratch::default();
-            while let Some(b) = queue.claim(worker) {
-                if abort.load(Ordering::Relaxed) {
+            loop {
+                let b = cursor.fetch_add(1, Ordering::Relaxed);
+                if b >= n_batches {
                     return;
                 }
                 let lo = b * batch;
                 let hi = ((b + 1) * batch).min(students);
-                let mut out = BatchOut::new(tl_window);
+                let mut out = BatchOut::new();
                 for student in lo..hi {
                     let spec = SessionSpec {
                         student,
@@ -871,10 +815,8 @@ impl Campus {
                         Some(f) => f(&spec, base),
                         None => base,
                     };
-                    // admit: wait for an admission slot, then build the
-                    // session's world (reusing this worker's scratch) and
-                    // mount its courseware.
-                    window.admit();
+                    // run: build the session's world (reusing this
+                    // worker's scratch), mount its courseware and fetch.
                     let workload = student % self.workloads.len();
                     let ran = images
                         .get(&self.workloads, workload, &config)
@@ -885,23 +827,21 @@ impl Campus {
                                 &sampler,
                                 &spec,
                                 &config,
-                                tl_window,
                                 std::mem::take(&mut scratch),
                                 &mut out.snapshot,
                                 None,
                             )
                         });
                     // retire: the session's world is already torn down
-                    // (its allocations harvested into `scratch`); free
-                    // the admission slot and fold the outcome.
-                    window.retire();
+                    // (its allocations harvested into `scratch`); fold
+                    // the outcome.
                     match ran {
                         Ok((outcome, recycled)) => {
                             scratch = recycled;
                             out.push(outcome);
                         }
                         Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
+                            cursor.store(n_batches, Ordering::Relaxed);
                             let mut f = fatal.lock().expect("campus fatal");
                             if f.is_none() {
                                 *f = Some(e);
@@ -915,12 +855,12 @@ impl Campus {
         };
 
         if workers <= 1 {
-            work(0);
+            work();
         } else {
             let work = &work;
             crossbeam::thread::scope(|scope| {
-                for w in 0..workers {
-                    scope.spawn(move |_| work(w));
+                for _ in 0..workers {
+                    scope.spawn(move |_| work());
                 }
             })
             .map_err(|_| SystemError::Protocol("campus worker panicked".into()))?;
@@ -947,7 +887,7 @@ impl Campus {
         // window, align it against the declared fault schedule, and
         // attach the exemplar-linked samples and flight-recorder tails
         // as evidence. Healthy run => no bundles.
-        let timeline = std::mem::replace(&mut merged.timeline, Timeline::new(tl_window));
+        let timeline = std::mem::replace(&mut merged.timeline, Timeline::new(TIMELINE_WINDOW));
         let exemplars: Vec<Exemplar> = merged
             .metrics
             .histogram("campus.session_secs")
@@ -967,7 +907,6 @@ impl Campus {
         let rollup = CampusRollup {
             students,
             threads: workers,
-            max_concurrent,
             digest: merged.digest,
             bytes: merged.bytes,
             sessions_failed: merged.failed,
@@ -1043,8 +982,7 @@ impl Campus {
         };
         // Rate 1.0 head-samples every student, so the replayed trace is
         // always kept; the decision stays out of the digest.
-        let sampler =
-            TraceSampler::new(self.base_seed, 1.0).with_latency_threshold(self.slow_session);
+        let sampler = TraceSampler::new(self.base_seed, 1.0).with_latency_threshold(SLOW_SESSION);
         let mut weathermap = String::new();
         let mut route = Vec::new();
         let mut waterfall = String::new();
@@ -1066,7 +1004,6 @@ impl Campus {
             &sampler,
             &spec,
             &config,
-            self.timeline_window,
             SessionScratch::default(),
             &mut MetricsSnapshot::new(),
             Some(&mut observe),
@@ -1218,12 +1155,12 @@ struct BatchOut {
 }
 
 impl BatchOut {
-    fn new(window: SimDuration) -> Self {
+    fn new() -> Self {
         BatchOut {
             sessions: Vec::new(),
             traces: Vec::new(),
             snapshot: MetricsSnapshot::new(),
-            timeline: Timeline::new(window),
+            timeline: Timeline::new(TIMELINE_WINDOW),
             tails: Vec::new(),
         }
     }
@@ -1241,9 +1178,9 @@ impl BatchOut {
 }
 
 /// The streaming rollup: batches arrive in completion order, flush in
-/// index order. `parked` holds only the out-of-order window (batches
-/// that finished while an earlier one is still running), so its size is
-/// bounded by in-flight work, not by population.
+/// index order. Batches are claimed in index order, so `parked` holds
+/// only batches that finished while an earlier, already running one is
+/// still in flight: its size is set by stragglers, not by population.
 struct MergeState<'a> {
     sink: &'a mut dyn ReportSink,
     next: usize,
@@ -1258,7 +1195,7 @@ struct MergeState<'a> {
 }
 
 impl<'a> MergeState<'a> {
-    fn new(sink: &'a mut dyn ReportSink, window: SimDuration) -> Self {
+    fn new(sink: &'a mut dyn ReportSink) -> Self {
         MergeState {
             sink,
             next: 0,
@@ -1268,7 +1205,7 @@ impl<'a> MergeState<'a> {
             failed: 0,
             degraded: 0,
             metrics: MetricsSnapshot::new(),
-            timeline: Timeline::new(window),
+            timeline: Timeline::new(TIMELINE_WINDOW),
             tails: Vec::new(),
         }
     }
@@ -1300,84 +1237,6 @@ impl<'a> MergeState<'a> {
     }
 }
 
-/// Per-worker queues of batch indices with stealing: a worker drains its
-/// own span front-to-back (keeping the flush frontier moving) and steals
-/// from the *back* of the most-loaded peer when dry, so a straggling
-/// session delays one batch instead of serializing the pool.
-struct BatchQueue {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl BatchQueue {
-    fn new(batches: usize, workers: usize) -> Self {
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let per = batches / workers;
-        let extra = batches % workers;
-        let mut b = 0;
-        for (w, q) in queues.iter_mut().enumerate() {
-            let n = per + usize::from(w < extra);
-            for _ in 0..n {
-                q.push_back(b);
-                b += 1;
-            }
-        }
-        BatchQueue {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    fn claim(&self, me: usize) -> Option<usize> {
-        if let Some(b) = self.queues[me].lock().expect("batch queue").pop_front() {
-            return Some(b);
-        }
-        loop {
-            let mut victim: Option<(usize, usize)> = None; // (len, index)
-            for (i, q) in self.queues.iter().enumerate() {
-                if i == me {
-                    continue;
-                }
-                let len = q.lock().expect("batch queue").len();
-                if len > 0 && victim.is_none_or(|(best, _)| len > best) {
-                    victim = Some((len, i));
-                }
-            }
-            let (_, v) = victim?;
-            if let Some(b) = self.queues[v].lock().expect("batch queue").pop_back() {
-                return Some(b);
-            }
-            // Raced with the victim draining its own queue; rescan.
-        }
-    }
-}
-
-/// Counting semaphore bounding live sessions (the admission window).
-struct AdmissionWindow {
-    permits: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl AdmissionWindow {
-    fn new(k: usize) -> Self {
-        AdmissionWindow {
-            permits: Mutex::new(k.max(1)),
-            freed: Condvar::new(),
-        }
-    }
-
-    fn admit(&self) {
-        let mut p = self.permits.lock().expect("admission window");
-        while *p == 0 {
-            p = self.freed.wait(p).expect("admission window");
-        }
-        *p -= 1;
-    }
-
-    fn retire(&self) {
-        *self.permits.lock().expect("admission window") += 1;
-        self.freed.notify_one();
-    }
-}
-
 /// Run one student's whole session: mount the published courseware,
 /// fetch its closure, then fetch every media object (cold cache — each
 /// session is a fresh seat). A mid-session failure (deadline expired,
@@ -1392,7 +1251,6 @@ fn run_session(
     sampler: &TraceSampler,
     spec: &SessionSpec,
     config: &SystemConfig,
-    tl_window: SimDuration,
     scratch: SessionScratch,
     // The batch's metrics, which the session's registry folds into.
     rollup: &mut MetricsSnapshot,
@@ -1517,7 +1375,7 @@ fn run_session(
     // only when the session was anomalous (tail-sampled sessions are
     // exactly the ones bundles reference).
     let flight_events = sys.flight.tail();
-    let mut recorder = TimelineRecorder::new(tl_window);
+    let mut recorder = TimelineRecorder::new(TIMELINE_WINDOW);
     recorder.record_events(&flight_events);
     recorder.record_session(end_at, observed, anomalous, failed);
     let timeline = recorder.finish();
@@ -1771,23 +1629,10 @@ mod tests {
             rollups: 0,
             rollup_bytes: 0,
         };
-        campus(9, 4, 7, &w).batch(2).run_with(&mut sink).unwrap();
+        campus(9, 4, 7, &w).run_with(&mut sink).unwrap();
         assert_eq!(sink.students, (0..9).collect::<Vec<_>>());
         assert_eq!(sink.rollups, 1);
         assert_eq!(sink.bytes, sink.rollup_bytes, "streamed == merged");
-    }
-
-    #[test]
-    fn admission_window_edges_do_not_change_results() {
-        let w = tiny_workload(1, 2048);
-        let base = campus(8, 4, 11, &w).run().unwrap();
-        for k in [1, 8] {
-            let bounded = campus(8, 4, 11, &w).max_concurrent(k).run().unwrap();
-            assert_eq!(bounded.max_concurrent, k);
-            assert_eq!(base.digest, bounded.digest, "max_concurrent={k}");
-            assert_eq!(base.metrics.to_json(), bounded.metrics.to_json());
-            assert_eq!(base.traces_jsonl(), bounded.traces_jsonl());
-        }
     }
 
     #[test]

@@ -1334,6 +1334,33 @@ impl MitsSystem {
         self.call_on_shard(index, req, shard, timeout)
     }
 
+    /// Issue `req` from endpoint `index` to shard group `shard`, stamped
+    /// `at`: the client registers it, then it leaves on the shard's
+    /// active channel. Returns the request id.
+    fn issue(
+        &mut self,
+        index: usize,
+        req: Request,
+        shard: usize,
+        at: SimTime,
+    ) -> Result<u64, SystemError> {
+        let ep = &mut self.endpoints[index];
+        let (req_id, frame) = ep.db_client.request_at(req, at);
+        ep.db_client.set_request_domain(req_id, shard as u64);
+        ep.req_shard.insert(req_id, shard);
+        self.requests_sent += 1;
+        ep.chans[ep.active[shard]].send_message(&mut self.net, &[frame])?;
+        Ok(req_id)
+    }
+
+    /// Take the response to `req_id` out of endpoint `index`'s inbox, if
+    /// it has arrived.
+    fn take_response(&mut self, index: usize, req_id: u64) -> Option<Response> {
+        let inbox = &mut self.endpoints[index].inbox;
+        let pos = inbox.iter().position(|(id, _)| *id == req_id)?;
+        Some(inbox.swap_remove(pos).1)
+    }
+
     /// [`MitsSystem::call`] pinned to one shard group.
     fn call_on_shard(
         &mut self,
@@ -1343,23 +1370,10 @@ impl MitsSystem {
         timeout: SimDuration,
     ) -> Result<(Response, SimDuration), SystemError> {
         let started = self.net.now();
-        let (req_id, frame) = self.endpoints[index].db_client.request_at(req, started);
-        self.endpoints[index]
-            .db_client
-            .set_request_domain(req_id, shard as u64);
-        self.endpoints[index].req_shard.insert(req_id, shard);
-        self.requests_sent += 1;
-        let active = self.endpoints[index].active[shard];
-        self.endpoints[index].chans[active].send_message(&mut self.net, &[frame])?;
+        let req_id = self.issue(index, req, shard, started)?;
         let deadline = started + timeout;
         loop {
-            // Check inbox.
-            if let Some(pos) = self.endpoints[index]
-                .inbox
-                .iter()
-                .position(|(id, _)| *id == req_id)
-            {
-                let (_, resp) = self.endpoints[index].inbox.swap_remove(pos);
+            if let Some(resp) = self.take_response(index, req_id) {
                 let elapsed = self.net.now().since(started);
                 return match resp {
                     Response::Err(e) => Err(SystemError::Db(e)),
@@ -1389,32 +1403,17 @@ impl MitsSystem {
         self.scatter_queries += 1;
         let mut ids = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (req_id, frame) = self.endpoints[index]
-                .db_client
-                .request_at(req.clone(), started);
-            self.endpoints[index]
-                .db_client
-                .set_request_domain(req_id, shard as u64);
-            self.endpoints[index].req_shard.insert(req_id, shard);
-            self.requests_sent += 1;
-            let active = self.endpoints[index].active[shard];
-            self.endpoints[index].chans[active].send_message(&mut self.net, &[frame])?;
+            ids.push(self.issue(index, req.clone(), shard, started)?);
             self.scatter_legs[shard] += 1;
-            ids.push(req_id);
         }
         let deadline = started + timeout;
         let mut results: Vec<Option<Result<Response, DbError>>> = vec![None; shards];
         loop {
-            for (k, id) in ids.iter().enumerate() {
+            for (k, &id) in ids.iter().enumerate() {
                 if results[k].is_some() {
                     continue;
                 }
-                if let Some(pos) = self.endpoints[index]
-                    .inbox
-                    .iter()
-                    .position(|(rid, _)| rid == id)
-                {
-                    let (_, resp) = self.endpoints[index].inbox.swap_remove(pos);
+                if let Some(resp) = self.take_response(index, id) {
                     results[k] = Some(match resp {
                         Response::Err(e) => Err(e),
                         other => Ok(other),
@@ -1770,17 +1769,7 @@ impl MitsSystem {
         let mut ids = Vec::with_capacity(clients.len());
         let shard = self.router.shard_for_object(root);
         for c in clients {
-            let (req_id, frame) = self.endpoints[c.0]
-                .db_client
-                .request_at(Request::GetCourseware { root }, started);
-            self.endpoints[c.0]
-                .db_client
-                .set_request_domain(req_id, shard as u64);
-            self.endpoints[c.0].req_shard.insert(req_id, shard);
-            self.requests_sent += 1;
-            let active = self.endpoints[c.0].active[shard];
-            self.endpoints[c.0].chans[active].send_message(&mut self.net, &[frame])?;
-            ids.push(req_id);
+            ids.push(self.issue(c.0, Request::GetCourseware { root }, shard, started)?);
         }
         let deadline = started + Self::default_timeout();
         let mut latencies = vec![None; clients.len()];
@@ -1793,12 +1782,7 @@ impl MitsSystem {
                 if latencies[i].is_some() {
                     continue;
                 }
-                if let Some(pos) = self.endpoints[c.0]
-                    .inbox
-                    .iter()
-                    .position(|(id, _)| *id == ids[i])
-                {
-                    let (_, resp) = self.endpoints[c.0].inbox.swap_remove(pos);
+                if let Some(resp) = self.take_response(c.0, ids[i]) {
                     if let Response::Err(e) = resp {
                         return Err(SystemError::Db(e));
                     }

@@ -21,8 +21,8 @@
 //!   cause chain: fault event → retries/failovers → degraded sessions.
 //!
 //! Everything here is stamped with virtual time only, so bundles and
-//! timelines are byte-identical across thread counts and admission
-//! windows, exactly like the metrics rollup.
+//! timelines are byte-identical across thread counts, exactly like the
+//! metrics rollup.
 
 use crate::registry::write_json_f64;
 use crate::slo::{SloReport, Verdict};

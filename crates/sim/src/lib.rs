@@ -14,8 +14,6 @@
 //!   deterministic FIFO tie-breaking for simultaneous events.
 //! * [`crc`] — the runtime-dispatched CRC-32 kernel shared by AAL5 and
 //!   the database write-ahead log.
-//! * [`Payload`] — a zero-copy shared byte buffer (`Arc<[u8]>` + range)
-//!   cloned by reference-count bump, used for every media payload.
 //! * [`Simulation`] — an executor that owns a mutable world `W` and runs
 //!   closures-as-events against it.
 //! * [`rng`] — seedable, splittable random streams so that experiments are
@@ -63,7 +61,6 @@
 pub mod crc;
 pub mod event;
 pub mod forensics;
-pub mod payload;
 pub mod profile;
 pub mod queue;
 pub mod registry;
@@ -81,7 +78,6 @@ pub use forensics::{
     ChainLink, FaultWindow, FlightEvent, FlightKind, FlightRecorder, ForensicBundle, ForensicInput,
     SessionTail, FLIGHT_KINDS, FLIGHT_RING_CAP,
 };
-pub use payload::Payload;
 pub use profile::{classify_layer, profile_spans, profile_tracer, LayerTotal, NameTotal, Profile};
 pub use queue::{BoundedQueue, DropPolicy, TokenBucket};
 pub use registry::{MetricsRegistry, MetricsSnapshot, SnapshotValue};

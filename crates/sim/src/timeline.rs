@@ -8,8 +8,8 @@
 //! its retirement into fixed-width virtual-time windows; the resulting
 //! [`Timeline`]s merge per-window by addition, which is associative and
 //! commutative, so the campus fold in batch-index order produces a
-//! timeline that is byte-identical across thread counts and admission
-//! windows — the same contract the rollup already honours.
+//! timeline that is byte-identical across thread counts — the same
+//! contract the rollup already honours.
 //!
 //! Every session runs its own virtual clock starting near zero, so the
 //! campus timeline's axis is *session-local* virtual time aggregated

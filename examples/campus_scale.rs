@@ -2,10 +2,10 @@
 //! memory-bounded `Campus` runner with a custom `ReportSink`.
 //!
 //! The paper's TeleSchool serves a campus, not a seat — so the runner
-//! admits sessions through a small concurrency window, retires them as
-//! they finish, and streams every outcome to the sink in deterministic
-//! student-index order. Live memory is bounded by `max_concurrent`, not
-//! by the population: 512 students here cost the same RSS as 50.
+//! runs one session per worker thread, retires each as it finishes, and
+//! streams every outcome to the sink in deterministic student-index
+//! order. Live memory is bounded by the thread count, not by the
+//! population: 512 students here cost the same RSS as 50.
 //!
 //! Run with: `cargo run --release --example campus_scale`
 
@@ -52,11 +52,10 @@ impl ReportSink for ProgressSink {
 
     fn rollup(&mut self, rollup: &CampusRollup) {
         println!(
-            "campus of {} students on {} threads (window {}): digest 0x{:016x}, \
+            "campus of {} students on {} threads: digest 0x{:016x}, \
              {} failed, {} SLO breaches, {:.1}s wall",
             rollup.students,
             rollup.threads,
-            rollup.max_concurrent,
             rollup.digest,
             rollup.sessions_failed,
             rollup.slo.breaches(),
@@ -87,7 +86,6 @@ fn main() {
     let mut sink = ProgressSink::default();
     Campus::new(512, 42)
         .threads(2)
-        .max_concurrent(2)
         .trace_sample_rate(0.01)
         .workload(workload)
         .run_with(&mut sink)

@@ -41,12 +41,11 @@ d = json.load(open(sys.argv[1]))
 for key in ("students", "digest", "digest_match_1_vs_n_threads",
             "metrics_match_1_vs_n_threads", "traces_sampled", "slo_breaches",
             "bytes_simulated", "students_per_sec", "fetch200k_speedup",
-            "host_cores", "max_concurrent", "peak_rss_mb"):
+            "host_cores", "peak_rss_mb"):
     assert key in d, f"BENCH_campus.json missing {key}"
 assert d["students"] > 0 and d["bytes_simulated"] > 0, "empty campus run"
 assert d["digest_match_1_vs_n_threads"] is True, "campus digest diverged"
 assert d["metrics_match_1_vs_n_threads"] is True, "campus metrics rollup diverged"
-assert d["max_concurrent"] >= 1, "admission window must be recorded"
 PY
 echo "campus bench json well-formed"
 

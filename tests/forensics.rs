@@ -1,6 +1,6 @@
 //! The flight-recorder forensics layer, end to end: the windowed
 //! telemetry timeline and exemplar selection must be byte-identical
-//! across thread counts and admission windows, and a seeded fault storm
+//! across thread counts, and a seeded fault storm
 //! must auto-produce a reproducible incident bundle whose causal chain
 //! names the injected fault on the correct shard.
 
@@ -20,11 +20,10 @@ fn storm() -> FaultStorm {
     )
 }
 
-fn run_campaign(threads: usize, max_concurrent: usize, stormy: bool) -> CampusReport {
+fn run_campaign(threads: usize, stormy: bool) -> CampusReport {
     let s = storm();
     let mut campus = Campus::new(STUDENTS, 42)
         .threads(threads)
-        .max_concurrent(max_concurrent)
         .workloads(sharded_workloads(SHARDS, 2, 100_000))
         .slos(fault_storm_slos(1.0 / SHARDS as f64))
         .configure_sessions(move |_, base| {
@@ -56,13 +55,12 @@ fn exemplar_keys(report: &CampusReport) -> Vec<(u64, u64, u64, u64)> {
 
 /// The determinism gate for the new surfaces: timeline JSON, forensic
 /// bundle JSON and exemplar identities are byte-identical whether the
-/// campus runs serially, on eight workers, or throttled to two
-/// admitted sessions at a time.
+/// campus runs serially, on two workers or on eight.
 #[test]
 fn timeline_and_bundles_are_byte_identical_across_schedules() {
-    let serial = run_campaign(1, STUDENTS, true);
-    let wide = run_campaign(8, STUDENTS, true);
-    let narrow = run_campaign(8, 2, true);
+    let serial = run_campaign(1, true);
+    let wide = run_campaign(8, true);
+    let narrow = run_campaign(2, true);
 
     assert_eq!(serial.digest, wide.digest);
     assert_eq!(serial.digest, narrow.digest);
@@ -88,7 +86,7 @@ fn timeline_and_bundles_are_byte_identical_across_schedules() {
 /// the bundles byte for byte, and the calm twin produces none.
 #[test]
 fn storm_bundle_names_the_injected_fault_and_reproduces() {
-    let hit = run_campaign(2, STUDENTS, true);
+    let hit = run_campaign(2, true);
     assert!(!hit.forensics.is_empty(), "storm must yield a bundle");
     for b in &hit.forensics {
         let suspect = b.suspect.as_ref().expect("bundle aligns with the storm");
@@ -121,11 +119,11 @@ fn storm_bundle_names_the_injected_fault_and_reproduces() {
         }
     }
 
-    let again = run_campaign(2, STUDENTS, true);
+    let again = run_campaign(2, true);
     assert_eq!(hit.forensics_json(), again.forensics_json());
     assert_eq!(hit.timeline_json(), again.timeline_json());
 
-    let calm = run_campaign(2, STUDENTS, false);
+    let calm = run_campaign(2, false);
     assert!(calm.forensics.is_empty(), "calm twin stays incident-free");
     assert_eq!(calm.forensics_json(), "[]");
 }
