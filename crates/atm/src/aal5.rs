@@ -7,18 +7,22 @@
 //! which is exactly the behaviour that makes cell loss so expensive for
 //! courseware delivery and shows up in experiment E-BB.
 //!
-//! Segmentation writes the PDU **once** into a padded shared buffer (the
-//! *run image*) and hands every cell a 48-byte [`Bytes`] window into it.
-//! Reassembly detects when the arriving cells are still consecutive
-//! windows of one buffer (the common clean-delivery case) and returns a
-//! zero-copy view of it; the cell-train fast path skips the per-cell form
-//! entirely and validates the run image directly ([`reassemble_run`]).
-//! Only cells that were individually mutated in flight (fault injection)
-//! or stitched from multiple sources fall back to a copying path.
+//! A PDU on the cell-train fast path is never copied: its *run image*
+//! ([`RunImage`]) is a gather — the PDU's parts as shared [`Bytes`]
+//! views, plus the trailer computed over them — and reassembly checks the
+//! CRC over those same parts and hands them back as the delivered PDU
+//! ([`reassemble_run`]). Cells exist only where something acts cell by
+//! cell (the per-cell scheduler, fault injection): there the run is
+//! flattened once into a padded buffer ([`RunImage::flatten`]) and every
+//! cell is a 48-byte window into it. Reassembly from cells detects when
+//! they are still consecutive windows of one buffer (the common
+//! clean-delivery case) and returns a view of it; only cells stitched
+//! from several buffers fall back to a copy.
 //!
 //! The CRC-32 kernel runs over every PDU twice (segment + reassemble); it
 //! is [`mits_sim::crc`]'s runtime-dispatched slice-by-16 / PCLMULQDQ /
-//! aarch64 CRC-instruction kernel, re-exported here under its AAL5 names.
+//! aarch64 CRC-instruction kernel, re-exported here under its AAL5 names,
+//! and [`mits_sim::crc::crc32_update`] carries it across a run's parts.
 
 use crate::cell::{AtmCell, CELL_PAYLOAD};
 use bytes::Bytes;
@@ -61,159 +65,123 @@ impl std::error::Error for Aal5Error {}
 pub use mits_sim::crc::crc32_hwcrc;
 #[cfg(target_arch = "x86_64")]
 pub use mits_sim::crc::crc32_pclmul;
-pub use mits_sim::crc::{crc32, crc32_is_hw_accelerated, crc32_slice16};
+pub use mits_sim::crc::{crc32, crc32_is_hw_accelerated, crc32_slice16, crc32_update};
 
 // ---- segmentation ----
 
 const TRAILER: usize = 8;
 
-/// A segmented PDU held as one padded, trailer-carrying buffer — the
-/// *run image* the cell-train fast path ships across the network without
-/// ever materializing per-cell structs. `payload` spans the whole padded
-/// body (`ncells * 48` bytes); cell `i`'s wire payload is bytes
-/// `[i*48, (i+1)*48)`.
+/// A segmented PDU as a gather: the PDU's parts, in order, as shared
+/// views of the sender's buffers, plus the AAL5 trailer computed over
+/// them — the *run image* the cell-train fast path ships across the
+/// network. No byte of the PDU is copied to build it; the padding
+/// between the parts and the trailer is implicit zeros. Cell `i`'s wire
+/// payload is bytes `[i*48, (i+1)*48)` of [`RunImage::flatten`].
 #[derive(Debug, Clone)]
 pub struct RunImage {
-    /// The padded body, trailer included, as a shared view.
-    pub payload: Bytes,
+    /// The PDU's parts, concatenated in order.
+    pub parts: Vec<Bytes>,
+    /// The trailer: 2 reserved bytes, the 16-bit length field, then the
+    /// CRC-32 over the parts, the padding and the first four trailer
+    /// bytes.
+    pub trailer: [u8; TRAILER],
     /// Number of 48-byte cells in the run.
     pub ncells: usize,
 }
 
-/// Build the padded run image for a PDU: one allocation, written in
-/// place (payload bytes, zero padding, length field, CRC) — no
-/// `vec![0; total]` pre-zeroing and no second copy into the shared
-/// buffer.
-pub fn segment_run(payload: &[u8]) -> RunImage {
-    fresh_run(&[payload])
-}
-
-/// Total payload length of a gather list (the PDU is its parts
-/// concatenated in order).
-fn pdu_len(pdu: &[&[u8]]) -> usize {
-    pdu.iter().map(|p| p.len()).sum()
-}
-
-/// Write the run image of the PDU `pdu` (its parts in order, zero
-/// padding, the length field, then the CRC over all of it) into `dst`.
-/// Each payload byte is copied exactly once.
-///
-/// # Safety
-/// `dst` must be valid for writes of `total` bytes, where `total` is the
-/// padded body size for `len = pdu_len(pdu)` (a multiple of 48, at least
-/// `len + TRAILER`), and must not overlap any part of `pdu`.
-#[allow(unsafe_code)] // raw writes so a fresh uninit allocation needs no pre-zeroing
-unsafe fn write_run(dst: *mut u8, pdu: &[&[u8]], len: usize, total: usize) {
-    let mut at = 0;
-    for part in pdu {
-        // SAFETY: the parts sum to `len`, so `[at, at + part.len())`
-        // stays inside `[0, len)` of `dst`, which cannot overlap `part`.
-        unsafe { std::ptr::copy_nonoverlapping(part.as_ptr(), dst.add(at), part.len()) };
-        at += part.len();
+impl RunImage {
+    /// The PDU length: the parts' total.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(Bytes::len).sum()
     }
-    // SAFETY: `[len, total)` is inside `dst`; after these writes every
-    // byte of `[0, total - 4)` is initialized (payload, zeroed padding
-    // and reserved trailer bytes, length field), so the CRC may read it.
-    let crc = unsafe {
-        std::ptr::write_bytes(dst.add(len), 0, total - 6 - len);
-        // (16-bit length like real AAL5; PDUs > 65535 carry length mod
-        // 2^16 and rely on the cell count check, as real AAL5 caps PDUs
-        // at 65535.)
-        let len_be = (len as u16).to_be_bytes();
-        std::ptr::copy_nonoverlapping(len_be.as_ptr(), dst.add(total - 6), 2);
-        crc32(std::slice::from_raw_parts(dst, total - 4))
-    };
-    // SAFETY: the last 4 bytes of `dst`.
-    unsafe { std::ptr::copy_nonoverlapping(crc.to_be_bytes().as_ptr(), dst.add(total - 4), 4) };
+
+    /// Whether the PDU is empty (it still takes one cell).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The padded body in one fresh buffer — parts, zero padding and the
+    /// trailer as carried — which is what cells are windows of. This is
+    /// the run's one copy, made only where cells must exist.
+    ///
+    /// # Panics
+    /// Panics when `ncells` does not fit the PDU.
+    pub fn flatten(&self) -> Bytes {
+        let len = self.len();
+        let ncells = self.ncells;
+        let pad = padding(len, ncells).unwrap_or_else(|| {
+            panic!("run window out of bounds: {ncells} cells for a {len}-byte PDU")
+        });
+        let body = self.parts.iter().map(|p| &p[..]);
+        Bytes::concat(body.chain([&[0u8; CELL_PAYLOAD][..pad], &self.trailer[..]]))
+    }
 }
 
-/// Run image of `pdu` in a freshly allocated buffer.
-#[allow(unsafe_code)] // single-pass init of an uninit Arc slice, fully written before use
-fn fresh_run(pdu: &[&[u8]]) -> RunImage {
-    let len = pdu_len(pdu);
+/// The run image of the PDU whose parts, concatenated in order, are
+/// `pdu`: views of the parts and the trailer, with the CRC computed
+/// across them. Copies no payload byte.
+pub fn segment_run(pdu: &[Bytes]) -> RunImage {
+    let len = pdu.iter().map(Bytes::len).sum();
     let ncells = cells_for(len);
-    let total = ncells * CELL_PAYLOAD;
-    let mut arc: Arc<[std::mem::MaybeUninit<u8>]> = Arc::new_uninit_slice(total);
-    let buf = Arc::get_mut(&mut arc).expect("freshly allocated");
-    // SAFETY: `buf` is `total` writable bytes of a new allocation, so it
-    // overlaps no part of `pdu`.
-    unsafe { write_run(buf.as_mut_ptr().cast::<u8>(), pdu, len, total) };
-    // SAFETY: `write_run` initialized every byte of the slice.
-    let arc: Arc<[u8]> = unsafe { arc.assume_init() };
+    let mut trailer = [0u8; TRAILER];
+    // (16-bit length like real AAL5; PDUs > 65535 carry length mod 2^16
+    // and rely on the cell count check, as real AAL5 caps PDUs at 65535.)
+    trailer[2..4].copy_from_slice(&(len as u16).to_be_bytes());
+    let pad = padding(len, ncells).expect("cells_for fits the PDU");
+    let crc = gather_crc(pdu, pad, &trailer);
+    trailer[4..].copy_from_slice(&crc.to_be_bytes());
     RunImage {
-        payload: Bytes::from_shared(arc),
+        parts: pdu.to_vec(),
+        trailer,
         ncells,
     }
 }
 
-/// Pool bounds for [`segment_run_pooled`]: small control PDUs (acks)
-/// churn too fast to be worth pooling, and the pool itself must stay a
-/// bounded scratch, not a cache.
-const POOL_MAX: usize = 16;
-const POOL_MIN_BYTES: usize = 1024;
+/// Zero padding between a PDU of `len` bytes and the trailer in
+/// `ncells` cells, or `None` when the cells cannot hold the PDU or hold
+/// a whole spare cell.
+fn padding(len: usize, ncells: usize) -> Option<usize> {
+    (ncells * CELL_PAYLOAD)
+        .checked_sub(len + TRAILER)
+        .filter(|&pad| pad < CELL_PAYLOAD)
+}
 
-/// The run image of the PDU `pdu` — a gather list, whose parts
-/// concatenated in order are the PDU — with buffer recycling through
-/// `pool` (typically the network's `NetScratch`). The parts are written
-/// once, straight into the run image, and the image is bit-identical to
-/// [`segment_run`] over their concatenation. When the pool holds a
-/// retired buffer of exactly the right size whose only remaining owner
-/// is the pool itself, the run is rewritten into it in place — zero
-/// allocations on the steady-state send path. Every byte is overwritten
-/// (payload, padding, length field, CRC), so a recycled run is
-/// bit-identical to a fresh one. The buffer stays registered in the
-/// pool and becomes reusable again once the network and its deliveries
-/// drop their views.
-#[allow(unsafe_code)] // the shared writer takes a raw destination
-pub fn segment_run_pooled(pdu: &[&[u8]], pool: &mut Vec<Arc<[u8]>>) -> RunImage {
-    let len = pdu_len(pdu);
-    let ncells = cells_for(len);
-    let total = ncells * CELL_PAYLOAD;
-    if total < POOL_MIN_BYTES {
-        return fresh_run(pdu);
+/// CRC-32 of a run's body up to the CRC field: the parts, `pad` zero
+/// bytes, then the trailer's reserved and length bytes.
+fn gather_crc(parts: &[Bytes], pad: usize, trailer: &[u8; TRAILER]) -> u32 {
+    let mut crc = 0xFFFF_FFFF;
+    for part in parts {
+        crc = crc32_update(crc, part);
     }
-    let reusable = pool
-        .iter()
-        .position(|a| a.len() == total && Arc::strong_count(a) == 1);
-    let Some(i) = reusable else {
-        let run = fresh_run(pdu);
-        if pool.len() >= POOL_MAX {
-            pool.swap_remove(0);
-        }
-        pool.push(Arc::clone(run.payload.shared()));
-        return run;
-    };
-    let mut arc = pool.swap_remove(i);
-    let buf = Arc::get_mut(&mut arc).expect("uniquely owned");
-    // SAFETY: `buf` is `total` bytes, uniquely owned here (no `Bytes`
-    // views it, so no part of `pdu` can alias it).
-    unsafe { write_run(buf.as_mut_ptr(), pdu, len, total) };
-    let view = Bytes::from_shared(Arc::clone(&arc));
-    pool.push(arc);
-    RunImage {
-        payload: view,
-        ncells,
-    }
+    let mut tail = [0u8; CELL_PAYLOAD + 4];
+    tail[pad..pad + 4].copy_from_slice(&trailer[..4]);
+    !crc32_update(crc, &tail[..pad + 4])
+}
+
+/// Cell `k` of a flattened run `flat` (see [`RunImage::flatten`]): a
+/// 48-byte view into it, with the end-of-PDU bit on the last cell.
+pub(crate) fn cell_of(vpi: u8, vci: u16, pdu_seq: u64, flat: &Bytes, k: usize) -> AtmCell {
+    let ncells = flat.len() / CELL_PAYLOAD;
+    AtmCell::new(vpi, vci, pdu_seq, k as u32, k + 1 == ncells)
+        .with_payload_view(flat.slice(k * CELL_PAYLOAD..(k + 1) * CELL_PAYLOAD))
 }
 
 /// Materialize the per-cell form of a run image into `out` (cleared
-/// first): zero-copy 48-byte views into the run buffer.
+/// first): the run is flattened once and the cells are 48-byte views
+/// into that buffer.
 pub fn cells_from_run(vpi: u8, vci: u16, pdu_seq: u64, run: &RunImage, out: &mut Vec<AtmCell>) {
+    let flat = run.flatten();
     out.clear();
     out.reserve(run.ncells);
-    for i in 0..run.ncells {
-        out.push(
-            AtmCell::new(vpi, vci, pdu_seq, i as u32, i == run.ncells - 1)
-                .with_payload_view(run.payload.slice(i * CELL_PAYLOAD..(i + 1) * CELL_PAYLOAD)),
-        );
-    }
+    out.extend((0..run.ncells).map(|k| cell_of(vpi, vci, pdu_seq, &flat, k)));
 }
 
 /// Segment a PDU into cells, reusing `out`'s allocation (cleared first).
-/// The PDU is written once into a padded trailer-carrying buffer; the
-/// cells are zero-copy 48-byte views into it.
+/// The payload is copied into a buffer of its own, then flattened once
+/// into a padded trailer-carrying buffer; the cells are zero-copy
+/// 48-byte views into that.
 pub fn segment_into(vpi: u8, vci: u16, pdu_seq: u64, payload: &[u8], out: &mut Vec<AtmCell>) {
-    let run = segment_run(payload);
+    let run = segment_run(&[Bytes::copy_from_slice(payload)]);
     cells_from_run(vpi, vci, pdu_seq, &run, out);
 }
 
@@ -225,16 +193,22 @@ pub fn segment(vpi: u8, vci: u16, pdu_seq: u64, payload: &[u8]) -> Vec<AtmCell> 
     out
 }
 
-/// Validate trailer length against the cell count, returning the true PDU
-/// length within the padded body `buf`.
+/// Validate the CRC and the length field of the padded body `buf`,
+/// returning the true PDU length.
 fn validated_length(buf: &[u8]) -> Result<usize, Aal5Error> {
     let total = buf.len();
     let crc_stored = u32::from_be_bytes(buf[total - 4..].try_into().expect("4 bytes"));
     if crc32(&buf[..total - 4]) != crc_stored {
         return Err(Aal5Error::BadCrc);
     }
-    let len_field =
-        u16::from_be_bytes(buf[total - 6..total - 4].try_into().expect("2 bytes")) as usize;
+    let len_field = u16::from_be_bytes(buf[total - 6..total - 4].try_into().expect("2 bytes"));
+    field_length(len_field, total)
+}
+
+/// Recover the true PDU length from the 16-bit length field and the
+/// padded body size `total`.
+fn field_length(len_field: u16, total: usize) -> Result<usize, Aal5Error> {
+    let len_field = len_field as usize;
     // Recover the true length: it is congruent to the 16-bit field mod
     // 65536, and the cell count pins it to the single candidate whose
     // padding fits inside the final cell. Lifting to the highest window
@@ -292,19 +266,23 @@ pub fn reassemble(cells: &[AtmCell]) -> Result<Bytes, Aal5Error> {
     Ok(Bytes::from(buf))
 }
 
-/// Reassemble straight from a run descriptor: the contiguity fast path of
-/// [`reassemble`] without the per-cell walk. `run` must span the whole
-/// padded body (as built by [`segment_run`]); the CRC and length field
-/// are still validated honestly, so a corrupted buffer is caught exactly
-/// as it would be cell-by-cell.
-pub fn reassemble_run(run: &Bytes) -> Result<Bytes, Aal5Error> {
-    let (start, end) = run.shared_range();
-    if (end - start) % CELL_PAYLOAD != 0 || end == start {
+/// Reassemble straight from a run image, as the cell-train fast path
+/// delivers it: check the CRC across the parts and the padding, and the
+/// length field against the cell count and the parts, exactly as a
+/// receiver of the cells would, then hand the parts back as the PDU — the
+/// sender's views, not a copy.
+pub fn reassemble_run(run: RunImage) -> Result<Vec<Bytes>, Aal5Error> {
+    let len = run.len();
+    let pad = padding(len, run.ncells).ok_or(Aal5Error::BadLength)?;
+    let crc_stored = u32::from_be_bytes(run.trailer[4..].try_into().expect("4 bytes"));
+    if gather_crc(&run.parts, pad, &run.trailer) != crc_stored {
+        return Err(Aal5Error::BadCrc);
+    }
+    let len_field = u16::from_be_bytes([run.trailer[2], run.trailer[3]]);
+    if field_length(len_field, run.ncells * CELL_PAYLOAD)? != len {
         return Err(Aal5Error::BadLength);
     }
-    let arc = Arc::clone(run.shared());
-    let length = validated_length(&arc[start..end])?;
-    Ok(Bytes::from_shared_range(arc, start, start + length))
+    Ok(run.parts)
 }
 
 /// Number of cells a PDU of `len` bytes occupies.
@@ -362,9 +340,9 @@ mod tests {
             assert_eq!(cells.len(), cells_for(size), "size {size}");
             let back = reassemble(&cells).unwrap_or_else(|e| panic!("size {size}: {e}"));
             assert_eq!(&back[..], &payload[..], "size {size}");
-            let run = segment_run(&payload);
-            let back = reassemble_run(&run.payload).unwrap();
-            assert_eq!(&back[..], &payload[..], "run size {size}");
+            let run = segment_run(&[Bytes::from(payload.clone())]);
+            let back = reassemble_run(run).unwrap();
+            assert_eq!(back.concat(), payload, "run size {size}");
         }
     }
 
@@ -425,7 +403,7 @@ mod tests {
 
     #[test]
     fn crc32_implementations_agree() {
-        let mut buf = vec![0u8; 4096];
+        let mut buf = vec![0u8; 4096 + 16];
         let mut x = 0x0123_4567_89AB_CDEFu64;
         for b in &mut buf {
             x = x
@@ -433,14 +411,24 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             *b = (x >> 56) as u8;
         }
-        for n in [0usize, 1, 7, 8, 15, 16, 47, 48, 63, 64, 65, 100, 1023, 4096] {
-            let expect = crc32_ref(&buf[..n]);
-            assert_eq!(crc32_slice16(&buf[..n]), expect, "slice16 len {n}");
-            assert_eq!(crc32(&buf[..n]), expect, "dispatch len {n}");
-            #[cfg(target_arch = "x86_64")]
-            assert_eq!(crc32_pclmul(&buf[..n]), expect, "pclmul len {n}");
-            #[cfg(target_arch = "aarch64")]
-            assert_eq!(crc32_hwcrc(&buf[..n]), expect, "hwcrc len {n}");
+        // Every length up to 80 covers each tail the 16-, 8- and 4-byte
+        // steps leave, on both sides of the 64-byte SIMD threshold; the
+        // offsets vary the input's alignment.
+        let lengths = (0..=80).chain([100, 1023, 4096]);
+        for n in lengths {
+            for off in [0usize, 1, 3, 8, 13] {
+                let data = &buf[off..off + n];
+                let expect = crc32_ref(data);
+                assert_eq!(crc32_slice16(data), expect, "slice16 len {n} off {off}");
+                assert_eq!(crc32(data), expect, "dispatch len {n} off {off}");
+                #[cfg(target_arch = "x86_64")]
+                assert_eq!(crc32_pclmul(data), expect, "pclmul len {n} off {off}");
+                #[cfg(target_arch = "aarch64")]
+                assert_eq!(crc32_hwcrc(data), expect, "hwcrc len {n} off {off}");
+                let (a, b) = data.split_at(n / 3);
+                let split = !crc32_update(crc32_update(0xFFFF_FFFF, a), b);
+                assert_eq!(split, expect, "update len {n} off {off}");
+            }
         }
     }
 
@@ -463,16 +451,19 @@ mod tests {
     #[test]
     fn run_image_matches_cells_and_reassembles() {
         let payload: Vec<u8> = (0..5_000).map(|i| (i % 251) as u8).collect();
-        let run = segment_run(&payload);
+        let stored = Bytes::from(payload.clone());
+        let run = segment_run(&[stored.slice(..60), stored.slice(60..)]);
         assert_eq!(run.ncells, cells_for(payload.len()));
         let mut cells = Vec::new();
         cells_from_run(0, 5, 3, &run, &mut cells);
         let via_cells = reassemble(&cells).unwrap();
-        let via_run = reassemble_run(&run.payload).unwrap();
         assert_eq!(&via_cells[..], &payload[..]);
-        assert_eq!(&via_run[..], &payload[..]);
-        // Both are zero-copy views of the same run buffer.
-        assert!(Arc::ptr_eq(via_run.shared(), run.payload.shared()));
+        let via_run = reassemble_run(run).unwrap();
+        assert_eq!(via_run.concat(), payload);
+        // The run delivers the sender's own views, not copies.
+        assert!(via_run
+            .iter()
+            .all(|p| Arc::ptr_eq(p.shared(), stored.shared())));
     }
 
     #[test]
@@ -505,18 +496,44 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn run_window_past_the_image_panics() {
-        let mut run = segment_run(&[0u8; 40]);
+        let mut run = segment_run(&[Bytes::from(vec![0u8; 40])]);
         run.ncells = 2;
         cells_from_run(0, 5, 1, &run, &mut Vec::new());
     }
 
     #[test]
     fn corrupted_run_rejected() {
-        let payload = vec![3u8; 500];
-        let run = segment_run(&payload);
-        let mut raw: Vec<u8> = run.payload.to_vec();
+        let payload = Bytes::from(vec![3u8; 500]);
+        let mut run = segment_run(&[payload.slice(..100), payload.slice(100..)]);
+        let mut raw = run.parts[1].to_vec();
         raw[17] ^= 0x40;
-        let corrupted = Bytes::from(raw);
-        assert_eq!(reassemble_run(&corrupted), Err(Aal5Error::BadCrc));
+        run.parts[1] = Bytes::from(raw);
+        assert_eq!(reassemble_run(run.clone()), Err(Aal5Error::BadCrc));
+        // Flattening carries the trailer as sent, so the cells fail too.
+        let mut cells = Vec::new();
+        cells_from_run(0, 5, 1, &run, &mut cells);
+        assert_eq!(reassemble(&cells), Err(Aal5Error::BadCrc));
+        // A part lost from the run no longer fits its length field.
+        let mut short = segment_run(&[payload.slice(..100), payload.slice(100..)]);
+        short.parts.pop();
+        assert_eq!(reassemble_run(short), Err(Aal5Error::BadLength));
+    }
+
+    #[test]
+    fn flattened_run_is_the_segmented_pdu() {
+        for size in [0usize, 1, 39, 40, 41, 47, 48, 95, 96, 1000, 65_536] {
+            let payload: Vec<u8> = (0..size).map(|i| (i * 13) as u8).collect();
+            let stored = Bytes::from(payload.clone());
+            let cut = size / 3;
+            let run = segment_run(&[stored.slice(..cut), Bytes::new(), stored.slice(cut..)]);
+            let whole = segment(0, 5, 1, &payload);
+            let flat = run.flatten();
+            assert_eq!(flat.len(), whole.len() * CELL_PAYLOAD, "size {size}");
+            for (k, cell) in whole.iter().enumerate() {
+                let window = &flat[k * CELL_PAYLOAD..(k + 1) * CELL_PAYLOAD];
+                assert_eq!(&cell.payload[..], window, "size {size} cell {k}");
+            }
+            assert_eq!(&flat[flat.len() - TRAILER..], &run.trailer[..]);
+        }
     }
 }

@@ -9,17 +9,16 @@
 //! VC — the raw material of experiments E-BB and F3.5.
 
 use crate::aal5;
-use crate::cell::{AtmCell, CELL_BITS, CELL_PAYLOAD};
+use crate::cell::{AtmCell, CELL_BITS};
 use crate::fault::{FaultPlan, FaultState, FaultStats, LinkFaults};
 use crate::link::{LinkProfile, LinkTelemetry, Policer, ServeKind, ServiceClass, TrafficContract};
-use bytes::Bytes;
+use bytes::{Bytes, PartList};
 use mits_sim::{
     ChanceThreshold, DelayMoments, MetricsRegistry, OnlineStats, RatioCounter, SimDuration, SimRng,
     SimTime, TimeWeighted,
 };
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 /// A node (host or switch) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -82,8 +81,10 @@ pub struct Delivery {
     pub vc: VcId,
     /// Destination node.
     pub node: NodeId,
-    /// The reassembled payload.
-    pub payload: Bytes,
+    /// The reassembled payload: on the cell-train fast path, the parts
+    /// the sender handed to [`AtmNetwork::send`] (views, not copies); on
+    /// the per-cell path, one view of the flattened run.
+    pub payload: PartList,
 }
 
 /// Per-VC quality-of-service statistics.
@@ -167,8 +168,10 @@ const TRAIN_MIN_CELLS: usize = 4;
 
 /// A whole-PDU cell run on the fast path: one queue entry / timer event
 /// per hop instead of one `Flying` and two timer events per cell. The
-/// run's cells are never materialized unless the train has to fall back
-/// to per-cell dispatch (contention, fault window, realized line loss).
+/// run carries views of the sender's parts from hop to hop; it is
+/// flattened and its cells materialized only when the train has to fall
+/// back to per-cell dispatch (contention, fault window, realized line
+/// loss).
 struct Train {
     vci: u16,
     pdu_seq: u64,
@@ -184,22 +187,16 @@ struct Train {
 }
 
 impl Train {
-    /// Materialize cell `k` exactly as [`aal5::cells_from_run`] would —
-    /// the fallback paths must produce bit-identical cells to the ones
-    /// the per-cell engine would have carried.
-    fn cell(&self, k: usize) -> AtmCell {
-        AtmCell::new(
-            0,
-            self.vci,
-            self.pdu_seq,
-            k as u32,
-            k == self.run.ncells - 1,
-        )
-        .with_payload_view(
-            self.run
-                .payload
-                .slice(k * CELL_PAYLOAD..(k + 1) * CELL_PAYLOAD),
-        )
+    /// Cell `k` in flight, as a window of `flat` (this run flattened
+    /// once by the caller), exactly as [`aal5::cells_from_run`] would cut
+    /// it — the fallback paths must produce bit-identical cells to the
+    /// ones the per-cell engine would have carried.
+    fn flying(&self, flat: &Bytes, k: usize) -> Flying {
+        Flying {
+            cell: aal5::cell_of(0, self.vci, self.pdu_seq, flat, k),
+            born: self.born,
+            send_call: self.send_call,
+        }
     }
 }
 
@@ -451,11 +448,6 @@ pub struct NetScratch {
     trains: Vec<Option<Train>>,
     free_trains: Vec<u32>,
     cell_scratch: Vec<AtmCell>,
-    /// Retired PDU segmentation buffers, ready for
-    /// [`aal5::segment_run_pooled`] to rewrite in place. Buffers are
-    /// fully overwritten before reuse, so recycling is observably
-    /// identical to fresh allocation.
-    pdu_pool: Vec<Arc<[u8]>>,
 }
 
 /// The ATM network simulator.
@@ -490,8 +482,6 @@ pub struct AtmNetwork {
     train_stats: TrainStats,
     /// Reusable cell buffer for per-cell fallback segmentation.
     cell_scratch: Vec<AtmCell>,
-    /// Recycled PDU segmentation buffers (see [`NetScratch::pdu_pool`]).
-    pdu_pool: Vec<Arc<[u8]>>,
 }
 
 impl AtmNetwork {
@@ -525,7 +515,6 @@ impl AtmNetwork {
             per_cell_only: false,
             train_stats: TrainStats::default(),
             cell_scratch: scratch.cell_scratch,
-            pdu_pool: scratch.pdu_pool,
         }
     }
 
@@ -545,7 +534,6 @@ impl AtmNetwork {
             mut trains,
             mut free_trains,
             mut cell_scratch,
-            pdu_pool,
             ..
         } = self;
         nodes.clear();
@@ -571,8 +559,6 @@ impl AtmNetwork {
             trains,
             free_trains,
             cell_scratch,
-            // Kept as-is: retired buffers carry no observable state.
-            pdu_pool,
         }
     }
 
@@ -727,14 +713,16 @@ impl AtmNetwork {
 
     /// Queue a PDU on a VC at the current clock. The PDU is a gather
     /// list: its parts, concatenated in order, are the payload (a
-    /// single-buffer PDU is `&[buf]`). Each byte is copied once, straight
-    /// into the AAL5 run image. Returns the PDU sequence number.
-    pub fn send(&mut self, vc: VcId, pdu: &[&[u8]]) -> Result<u64, NetError> {
+    /// single-buffer PDU is `&[buf]`). A PDU that rides a cell train
+    /// travels as views of the parts and is delivered as the same views;
+    /// one that goes cell by cell is flattened once, into the buffer its
+    /// cells are windows of. Returns the PDU sequence number.
+    pub fn send(&mut self, vc: VcId, pdu: &[Bytes]) -> Result<u64, NetError> {
         let now = self.now;
         let state = self.vc_mut(vc).ok_or(NetError::UnknownVc(vc))?;
         let seq = state.next_pdu_seq;
         state.next_pdu_seq += 1;
-        let len: usize = pdu.iter().map(|p| p.len()).sum();
+        let len: usize = pdu.iter().map(Bytes::len).sum();
         state.stats.pdus_sent += 1;
         state.stats.bytes_sent += len as u64;
         let ncells = aal5::cells_for(len);
@@ -758,7 +746,7 @@ impl AtmNetwork {
         }
         let class = state.class;
         let link = state.first_link;
-        let run = aal5::segment_run_pooled(pdu, &mut self.pdu_pool);
+        let run = aal5::segment_run(pdu);
         let link_ref = &self.links[link.0 as usize];
         let queue = &link_ref.queues[class.priority()];
         let can_train = !self.per_cell_only
@@ -1232,12 +1220,9 @@ impl AtmNetwork {
     /// Expand a train back into per-cell queue entries at the front of
     /// `q`, preserving cell order. Occupancy in cells is unchanged.
     fn expand_train_into_queue(q: &mut TxQueue, t: Train) {
+        let flat = t.run.flatten();
         for k in (0..t.run.ncells).rev() {
-            q.push_front_cell(Flying {
-                cell: t.cell(k),
-                born: t.born,
-                send_call: t.send_call,
-            });
+            q.push_front_cell(t.flying(&flat, k));
         }
     }
 
@@ -1361,6 +1346,7 @@ impl AtmNetwork {
         // fails exactly as it would have on the slow path.
         self.train_stats.line_loss_fallbacks += 1;
         let vc = VcId(train.vci);
+        let flat = train.run.flatten();
         let mut lost_iter = lost.iter().copied().peekable();
         for k in 0..n {
             if lost_iter.peek() == Some(&k) {
@@ -1371,12 +1357,7 @@ impl AtmNetwork {
                 }
                 continue;
             }
-            let flying = Flying {
-                cell: train.cell(k),
-                born: train.born,
-                send_call: train.send_call,
-            };
-            let id = self.stash(flying);
+            let id = self.stash(train.flying(&flat, k));
             let at = s + SimDuration::from_micros(ct_us * (k as u64 + 1)) + prop;
             self.schedule(at, TimerKind::Arrive(link_id.0, id));
         }
@@ -1496,27 +1477,18 @@ impl AtmNetwork {
             self.train_stats.expanded_fault_window += 1;
         }
         let sp_us = train.spacing.as_micros();
+        let flat = train.run.flatten();
         for k in 1..n {
-            let flying = Flying {
-                cell: train.cell(k),
-                born: train.born,
-                send_call: train.send_call,
-            };
-            let id = self.stash(flying);
+            let id = self.stash(train.flying(&flat, k));
             let at = now + SimDuration::from_micros(sp_us * k as u64);
             self.schedule(at, TimerKind::Arrive(link_id.0, id));
         }
-        let head = Flying {
-            cell: train.cell(0),
-            born: train.born,
-            send_call: train.send_call,
-        };
-        self.enqueue_cell(next_link, class, head);
+        self.enqueue_cell(next_link, class, train.flying(&flat, 0));
     }
 
     /// A train's last cell reaches the destination host: account every
-    /// cell at its analytic arrival instant and validate the run image
-    /// in one pass.
+    /// cell at its analytic arrival instant, validate the run image in
+    /// one pass over its parts, and deliver the parts themselves.
     fn train_deliver(&mut self, link_id: LinkId, tid: u32) {
         let Some(train) = self.unstash_train(tid) else {
             return;
@@ -1551,8 +1523,9 @@ impl AtmNetwork {
             .stats
             .ctd
             .record_run(train.head_at.since(train.born), train.spacing, n as u64);
-        match aal5::reassemble_run(&train.run.payload) {
-            Ok(payload) => {
+        match aal5::reassemble_run(train.run) {
+            Ok(parts) => {
+                let payload = PartList::from(parts);
                 state.stats.pdus_delivered += 1;
                 state.stats.bytes_delivered += payload.len() as u64;
                 state
@@ -1720,6 +1693,7 @@ impl AtmNetwork {
         cells.clear();
         match reassembled {
             Ok(payload) => {
+                let payload = PartList::from(payload);
                 state.stats.pdus_delivered += 1;
                 state.stats.bytes_delivered += payload.len() as u64;
                 state
@@ -1762,10 +1736,10 @@ mod tests {
         let (mut net, a, s, b) = small_net();
         let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         let payload = Bytes::from(vec![7u8; 1000]);
-        net.send(vc, &[&payload]).unwrap();
+        net.send(vc, std::slice::from_ref(&payload)).unwrap();
         let deliveries = net.drain(SimTime::from_secs(1));
         assert_eq!(deliveries.len(), 1);
-        assert_eq!(deliveries[0].payload, payload);
+        assert_eq!(deliveries[0].payload, PartList::from(payload));
         assert_eq!(deliveries[0].node, b);
         let stats = net.vc_stats(vc).unwrap();
         assert_eq!(stats.pdus_delivered, 1);
@@ -1777,7 +1751,7 @@ mod tests {
     fn weathermap_covers_the_active_route() {
         let (mut net, a, s, b) = small_net();
         let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
-        net.send(vc, &[&vec![7u8; 100_000]]).unwrap();
+        net.send(vc, &[Bytes::from(vec![7u8; 100_000])]).unwrap();
         let d = net.drain(SimTime::from_secs(1));
         assert_eq!(d.len(), 1);
         // Exactly the two forward hops carried cells; reverse links idle.
@@ -1814,7 +1788,7 @@ mod tests {
             let b = net.add_host("B");
             net.connect(a, b, profile);
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
-            net.send(vc, &[&vec![1u8; 100_000]]).unwrap();
+            net.send(vc, &[Bytes::from(vec![1u8; 100_000])]).unwrap();
             let d = net.drain(SimTime::from_secs(3600));
             assert_eq!(d.len(), 1, "profile {profile:?}");
             lat.push(net.vc_stats(vc).unwrap().pdu_latency.mean());
@@ -1853,9 +1827,9 @@ mod tests {
         let bulk = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
         let live = net.open_vc(&[a, b], ServiceClass::Cbr, None).unwrap();
         // Saturate with bulk…
-        net.send(bulk, &[&vec![0u8; 4_000]]).unwrap();
+        net.send(bulk, &[Bytes::from(vec![0u8; 4_000])]).unwrap();
         // …then a small CBR message right behind it.
-        net.send(live, &[&[1u8; 96]]).unwrap();
+        net.send(live, &[Bytes::from(vec![1u8; 96])]).unwrap();
         net.drain(SimTime::from_secs(60));
         let bulk_lat = net.vc_stats(bulk).unwrap().pdu_latency.mean();
         let live_lat = net.vc_stats(live).unwrap().pdu_latency.mean();
@@ -1885,7 +1859,7 @@ mod tests {
         let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         // 10 kB → ~209 cells arriving at OC-3 speed into a 16-cell queue
         // drained at modem speed.
-        net.send(vc, &[&vec![0u8; 10_000]]).unwrap();
+        net.send(vc, &[Bytes::from(vec![0u8; 10_000])]).unwrap();
         net.drain(SimTime::from_secs(600));
         let stats = net.vc_stats(vc).unwrap();
         assert!(stats.cells_dropped > 0, "overflow must drop");
@@ -1906,7 +1880,7 @@ mod tests {
         let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
         // 200 one-cell PDUs: each survives with p ≈ 0.95.
         for _ in 0..200 {
-            net.send(vc, &[&[1u8; 40]]).unwrap();
+            net.send(vc, &[Bytes::from(vec![1u8; 40])]).unwrap();
         }
         net.drain(SimTime::from_secs(10));
         let stats = net.vc_stats(vc).unwrap();
@@ -1941,7 +1915,7 @@ mod tests {
             .open_vc(&[a, s, b], ServiceClass::Ubr, Some(contract))
             .unwrap();
         for _ in 0..50 {
-            net.send(rogue, &[&vec![0u8; 400]]).unwrap();
+            net.send(rogue, &[Bytes::from(vec![0u8; 400])]).unwrap();
         }
         net.drain(SimTime::from_secs(600));
         let stats = net.vc_stats(rogue).unwrap();
@@ -1964,7 +1938,7 @@ mod tests {
         let vc = net
             .open_vc(&[a, s1, s2, b], ServiceClass::Vbr, None)
             .unwrap();
-        net.send(vc, &[&vec![5u8; 50_000]]).unwrap();
+        net.send(vc, &[Bytes::from(vec![5u8; 50_000])]).unwrap();
         let d = net.drain(SimTime::from_secs(5));
         assert_eq!(d.len(), 1);
         assert!(net.link_utilization(a, s1).unwrap() > 0.0);
@@ -1989,7 +1963,7 @@ mod tests {
             );
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
             for _ in 0..100 {
-                net.send(vc, &[&[2u8; 96]]).unwrap();
+                net.send(vc, &[Bytes::from(vec![2u8; 96])]).unwrap();
             }
             net.drain(SimTime::from_secs(10));
             let s = net.vc_stats(vc).unwrap();
@@ -2020,7 +1994,7 @@ mod tests {
             }
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
             for _ in 0..100 {
-                net.send(vc, &[&[2u8; 96]]).unwrap();
+                net.send(vc, &[Bytes::from(vec![2u8; 96])]).unwrap();
             }
             net.drain(SimTime::from_secs(10));
             let s = net.vc_stats(vc).unwrap();
@@ -2043,7 +2017,7 @@ mod tests {
             net.set_fault_plan(FaultPlan::uniform(LinkFaults::loss(0.05)));
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
             for _ in 0..200 {
-                net.send(vc, &[&[1u8; 40]]).unwrap();
+                net.send(vc, &[Bytes::from(vec![1u8; 40])]).unwrap();
             }
             net.drain(SimTime::from_secs(10));
             let s = net.vc_stats(vc).unwrap();
@@ -2066,7 +2040,7 @@ mod tests {
             LinkFaults::default().with_down(SimTime::ZERO, SimTime::from_secs(5)),
         ));
         let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
-        net.send(vc, &[&vec![1u8; 1000]]).unwrap();
+        net.send(vc, &[Bytes::from(vec![1u8; 1000])]).unwrap();
         net.drain(SimTime::from_secs(2));
         assert_eq!(net.vc_stats(vc).unwrap().pdus_delivered, 0, "link is down");
         assert!(net.fault_stats().downtime_losses > 0);
@@ -2080,7 +2054,7 @@ mod tests {
         ));
         let vc2 = net2.open_vc(&[a2, b2], ServiceClass::Ubr, None).unwrap();
         net2.advance(SimTime::from_secs(1));
-        net2.send(vc2, &[&vec![1u8; 1000]]).unwrap();
+        net2.send(vc2, &[Bytes::from(vec![1u8; 1000])]).unwrap();
         net2.drain(SimTime::from_secs(2));
         assert_eq!(net2.vc_stats(vc2).unwrap().pdus_delivered, 1);
     }
@@ -2096,7 +2070,7 @@ mod tests {
         ));
         let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
         for _ in 0..300 {
-            net.send(vc, &[&[1u8; 40]]).unwrap();
+            net.send(vc, &[Bytes::from(vec![1u8; 40])]).unwrap();
         }
         net.drain(SimTime::from_secs(10));
         let stats = net.fault_stats();
@@ -2117,7 +2091,7 @@ mod tests {
             let b = net.add_host("B");
             net.connect(a, b, LinkProfile::atm_oc3());
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
-            net.send(vc, &[&vec![1u8; 10_000]]).unwrap();
+            net.send(vc, &[Bytes::from(vec![1u8; 10_000])]).unwrap();
             net.drain(SimTime::from_secs(10));
             net.vc_stats(vc).unwrap().pdu_latency.mean()
         };
@@ -2130,7 +2104,7 @@ mod tests {
                 LinkFaults::default().with_jitter(SimDuration::from_millis(2)),
             ));
             let vc = net.open_vc(&[a, b], ServiceClass::Ubr, None).unwrap();
-            net.send(vc, &[&vec![1u8; 10_000]]).unwrap();
+            net.send(vc, &[Bytes::from(vec![1u8; 10_000])]).unwrap();
             net.drain(SimTime::from_secs(10));
             assert!(net.fault_stats().jittered > 0);
             net.vc_stats(vc).unwrap().pdu_latency.mean()
@@ -2148,15 +2122,15 @@ mod tests {
         let vc2 = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         let p1 = Bytes::from(vec![1u8; 5_000]);
         let p2 = Bytes::from(vec![2u8; 5_000]);
-        net.send(vc1, &[&p1]).unwrap();
-        net.send(vc2, &[&p2]).unwrap();
+        net.send(vc1, std::slice::from_ref(&p1)).unwrap();
+        net.send(vc2, std::slice::from_ref(&p2)).unwrap();
         let d = net.drain(SimTime::from_secs(1));
         assert_eq!(d.len(), 2);
         for delivery in d {
             if delivery.vc == vc1 {
-                assert_eq!(delivery.payload, p1);
+                assert_eq!(delivery.payload, PartList::from(p1.clone()));
             } else {
-                assert_eq!(delivery.payload, p2);
+                assert_eq!(delivery.payload, PartList::from(p2.clone()));
             }
         }
     }
@@ -2166,11 +2140,15 @@ mod tests {
         let (mut net, a, s, b) = small_net();
         let fwd = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         let rev = net.open_vc(&[b, s, a], ServiceClass::Ubr, None).unwrap();
-        net.send(fwd, &[b"ping"]).unwrap();
-        net.send(rev, &[b"pong"]).unwrap();
+        net.send(fwd, &[Bytes::from_static(b"ping")]).unwrap();
+        net.send(rev, &[Bytes::from_static(b"pong")]).unwrap();
         let d = net.drain(SimTime::from_secs(1));
         assert_eq!(d.len(), 2);
-        assert!(d.iter().any(|x| x.node == b && x.payload == "ping"));
-        assert!(d.iter().any(|x| x.node == a && x.payload == "pong"));
+        assert!(d
+            .iter()
+            .any(|x| x.node == b && x.payload.to_vec() == b"ping"));
+        assert!(d
+            .iter()
+            .any(|x| x.node == a && x.payload.to_vec() == b"pong"));
     }
 }

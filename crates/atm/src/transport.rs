@@ -11,7 +11,7 @@
 //! over a pair of opposed VCs. Both endpoints can send (full duplex).
 
 use crate::network::{AtmNetwork, Delivery, NetError, VcId};
-use bytes::Bytes;
+use bytes::{Bytes, PartList};
 use mits_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -24,35 +24,44 @@ const FT_ACK: u8 = 1;
 /// Per-segment header: type(1) + seq(4) + flags(1).
 const HDR: usize = 6;
 const FLAG_LAST_FRAG: u8 = 1;
-/// Most parts one message may be handed over as
-/// ([`ReliableChannel::send_message`]): a database response is a head
-/// and the stored media it carries, with room for one more.
+/// Most parts a message may be handed over as
+/// ([`ReliableChannel::send_message`]) and is handed up as
+/// ([`TransportEvent::Message`]): a database response is a head and the
+/// stored media it carries, with room for one more.
 pub const MAX_PARTS: usize = 3;
 
-/// One data segment as the wire carries it: the header, then views into
-/// the message parts it covers, in order. The payload is never copied on
-/// the send side; a retransmission re-sends the same views.
+/// One data segment as the wire carries it: its header, then views into
+/// the message parts it covers, in order. The header is a window of one
+/// buffer that holds every header of the message. No payload byte is
+/// copied; a retransmission re-sends the same views.
 struct Segment {
-    hdr: [u8; HDR],
-    views: [Option<Bytes>; MAX_PARTS],
+    pdu: Vec<Bytes>,
 }
 
 impl Segment {
     fn seq(&self) -> u32 {
-        u32::from_be_bytes(self.hdr[1..5].try_into().expect("4 bytes"))
+        u32::from_be_bytes(self.pdu[0][1..5].try_into().expect("4 bytes"))
     }
 
-    /// Transmit header and views as one gather list.
     fn send(&self, net: &mut AtmNetwork, vc: VcId) -> Result<u64, NetError> {
-        let mut pdu: [&[u8]; 1 + MAX_PARTS] = [&[]; 1 + MAX_PARTS];
-        pdu[0] = &self.hdr;
-        for (slot, view) in pdu[1..].iter_mut().zip(&self.views) {
-            if let Some(view) = view {
-                *slot = view;
-            }
-        }
-        net.send(vc, &pdu)
+        net.send(vc, &self.pdu)
     }
+}
+
+/// The first `N` bytes of a PDU, gathered across its parts, or `None`
+/// when it is shorter.
+fn prefix<const N: usize>(pdu: &PartList) -> Option<[u8; N]> {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for part in pdu.parts() {
+        if at == N {
+            break;
+        }
+        let take = (N - at).min(part.len());
+        out[at..at + take].copy_from_slice(&part[..take]);
+        at += take;
+    }
+    (at == N).then_some(out)
 }
 
 /// A transmitted segment awaiting its cumulative ack.
@@ -65,8 +74,11 @@ struct Unacked {
 /// Events surfaced to the application.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransportEvent {
-    /// A complete, ordered message arrived.
-    Message(Bytes),
+    /// A complete, ordered message arrived, as at most [`MAX_PARTS`]
+    /// parts. When every segment rode the network by reference these are
+    /// windows of the sender's own buffers, adjacent windows joined back
+    /// into one; otherwise the message is one buffer, copied once.
+    Message(PartList),
     /// All segments of the `n`-th message we sent have been acknowledged.
     Sent(u64),
 }
@@ -102,10 +114,10 @@ pub struct ReliableChannel {
     next_msg_id: u64,
     // Receiver state.
     rx_next: u32,
-    rx_ooo: BTreeMap<u32, Bytes>, // out-of-order frames
-    /// Staging for multi-fragment messages, kept across messages so its
-    /// capacity is reused; each message leaves as one exact-size copy.
-    rx_assembly: Vec<u8>,
+    rx_ooo: BTreeMap<u32, PartList>, // out-of-order frames
+    /// The message being received: the bodies of its segments so far,
+    /// as views of the delivered PDUs.
+    rx_message: PartList,
     /// Counters.
     pub stats: ChannelStats,
 }
@@ -126,7 +138,7 @@ impl ReliableChannel {
             next_msg_id: 0,
             rx_next: 0,
             rx_ooo: BTreeMap::new(),
-            rx_assembly: Vec::new(),
+            rx_message: PartList::new(),
             stats: ChannelStats::default(),
         }
     }
@@ -146,23 +158,27 @@ impl ReliableChannel {
         self.next_msg_id += 1;
         let len: usize = parts.iter().map(Bytes::len).sum();
         let nfrags = len.div_ceil(MSS).max(1);
+        let first = self.next_seq;
+        self.next_seq = first.wrapping_add(nfrags as u32);
+        let mut hdrs = Vec::with_capacity(nfrags * HDR);
+        for i in 0..nfrags {
+            let flags = if i == nfrags - 1 { FLAG_LAST_FRAG } else { 0 };
+            hdrs.push(FT_DATA);
+            hdrs.extend_from_slice(&first.wrapping_add(i as u32).to_be_bytes());
+            hdrs.push(flags);
+        }
+        let hdrs = Bytes::from(hdrs);
         // Cursor into the parts: part index and offset within it.
         let (mut part, mut off) = (0, 0);
         for i in 0..nfrags {
-            let seq = self.next_seq;
-            self.next_seq = self.next_seq.wrapping_add(1);
-            let mut hdr = [FT_DATA, 0, 0, 0, 0, 0];
-            hdr[1..5].copy_from_slice(&seq.to_be_bytes());
-            hdr[5] = if i == nfrags - 1 { FLAG_LAST_FRAG } else { 0 };
-            let mut views: [Option<Bytes>; MAX_PARTS] = Default::default();
+            let mut pdu = Vec::with_capacity(1 + MAX_PARTS);
+            pdu.push(hdrs.slice(i * HDR..(i + 1) * HDR));
             let mut want = MSS.min(len - i * MSS);
-            let mut k = 0;
             while want > 0 {
                 let p = &parts[part];
                 let take = (p.len() - off).min(want);
                 if take > 0 {
-                    views[k] = Some(p.slice(off..off + take));
-                    k += 1;
+                    pdu.push(p.slice(off..off + take));
                 }
                 off += take;
                 want -= take;
@@ -171,7 +187,7 @@ impl ReliableChannel {
                     off = 0;
                 }
             }
-            self.send_buffer.push_back(Segment { hdr, views });
+            self.send_buffer.push_back(Segment { pdu });
         }
         self.msg_last_seq
             .push_back((self.next_seq.wrapping_sub(1), msg_id));
@@ -204,12 +220,12 @@ impl ReliableChannel {
         net: &mut AtmNetwork,
         d: &Delivery,
     ) -> Result<Vec<TransportEvent>, NetError> {
-        if d.vc != self.in_vc || d.payload.is_empty() {
+        if d.vc != self.in_vc {
             return Ok(Vec::new());
         }
-        match d.payload[0] {
-            FT_ACK => self.on_ack(net, &d.payload),
-            FT_DATA => self.on_data(net, &d.payload),
+        match prefix::<1>(&d.payload) {
+            Some([FT_ACK]) => self.on_ack(net, &d.payload),
+            Some([FT_DATA]) => self.on_data(net, &d.payload),
             _ => Ok(Vec::new()),
         }
     }
@@ -217,12 +233,12 @@ impl ReliableChannel {
     fn on_ack(
         &mut self,
         net: &mut AtmNetwork,
-        frame: &[u8],
+        frame: &PartList,
     ) -> Result<Vec<TransportEvent>, NetError> {
-        if frame.len() < 5 {
+        let Some(ack) = prefix::<5>(frame) else {
             return Ok(Vec::new());
-        }
-        let cum = u32::from_be_bytes(frame[1..5].try_into().expect("4 bytes"));
+        };
+        let cum = u32::from_be_bytes(ack[1..5].try_into().expect("4 bytes"));
         // Cumulative: everything below `cum` is acknowledged.
         while self.unacked.front().is_some_and(|u| u.segment.seq() < cum) {
             self.unacked.pop_front();
@@ -243,49 +259,61 @@ impl ReliableChannel {
     fn on_data(
         &mut self,
         net: &mut AtmNetwork,
-        frame: &Bytes,
+        frame: &PartList,
     ) -> Result<Vec<TransportEvent>, NetError> {
-        if frame.len() < HDR {
+        let Some(hdr) = prefix::<HDR>(frame) else {
             return Ok(Vec::new());
-        }
-        let seq = u32::from_be_bytes(frame[1..5].try_into().expect("4 bytes"));
-        let body = frame.slice(5..); // flags + payload — zero-copy view
+        };
+        let seq = u32::from_be_bytes(hdr[1..5].try_into().expect("4 bytes"));
         let mut events = Vec::new();
         if seq == self.rx_next {
-            self.accept(body, &mut events);
+            self.accept(frame, &mut events);
             // Drain any buffered successors.
-            while let Some(b) = self.rx_ooo.remove(&self.rx_next) {
-                self.accept(b, &mut events);
+            while let Some(f) = self.rx_ooo.remove(&self.rx_next) {
+                self.accept(&f, &mut events);
             }
         } else if seq > self.rx_next {
-            self.rx_ooo.entry(seq).or_insert(body);
+            self.rx_ooo.entry(seq).or_insert_with(|| frame.clone());
         } else {
             self.stats.duplicates += 1;
         }
         // Ack the highest in-order point.
         let mut ack = [FT_ACK, 0, 0, 0, 0];
         ack[1..].copy_from_slice(&self.rx_next.to_be_bytes());
-        net.send(self.out_vc, &[&ack])?;
+        net.send(self.out_vc, &[Bytes::copy_from_slice(&ack)])?;
         self.stats.acks_tx += 1;
         Ok(events)
     }
 
-    fn accept(&mut self, body: Bytes, events: &mut Vec<TransportEvent>) {
+    /// Take the next in-order segment `frame`: its body joins the
+    /// message being received, as views; the last fragment hands the
+    /// message up.
+    fn accept(&mut self, frame: &PartList, events: &mut Vec<TransportEvent>) {
         self.stats.segments_rx += 1;
         self.rx_next = self.rx_next.wrapping_add(1);
-        let flags = body[0];
-        if flags & FLAG_LAST_FRAG != 0 && self.rx_assembly.is_empty() {
-            // Single-fragment message: hand the wire bytes straight up
-            // without staging them through the assembly buffer.
-            events.push(TransportEvent::Message(body.slice(1..)));
+        let flags = prefix::<HDR>(frame).expect("checked by on_data")[HDR - 1];
+        let mut skip = HDR;
+        for part in frame.parts() {
+            if skip >= part.len() {
+                skip -= part.len();
+                continue;
+            }
+            self.rx_message.push(part.slice(skip..));
+            skip = 0;
+        }
+        if flags & FLAG_LAST_FRAG == 0 {
             return;
         }
-        self.rx_assembly.extend_from_slice(&body[1..]);
-        if flags & FLAG_LAST_FRAG != 0 {
-            let msg = Bytes::copy_from_slice(&self.rx_assembly);
-            self.rx_assembly.clear();
-            events.push(TransportEvent::Message(msg));
-        }
+        let msg = std::mem::take(&mut self.rx_message);
+        // Bodies that are not windows of the sender's buffers (segments
+        // flattened into cells on the way) do not join up: copy those
+        // into one buffer, once.
+        let msg = if msg.parts().len() > MAX_PARTS {
+            PartList::from(msg.to_bytes())
+        } else {
+            msg
+        };
+        events.push(TransportEvent::Message(msg));
     }
 
     /// The VC this endpoint receives on — lets a pump loop route a
@@ -380,7 +408,7 @@ mod tests {
         let (ea, eb) = run(&mut p, SimTime::from_secs(10));
         assert!(eb
             .iter()
-            .any(|e| matches!(e, TransportEvent::Message(m) if m[..] == msg[..])));
+            .any(|e| matches!(e, TransportEvent::Message(m) if m.to_vec() == msg)));
         assert!(ea.contains(&TransportEvent::Sent(id)));
         assert_eq!(p.a.stats.retransmissions, 0, "clean link needs no ARQ");
     }
@@ -400,7 +428,7 @@ mod tests {
         assert!(!p.a.send_buffer.is_empty() && !p.a.unacked.is_empty());
         let is = |v: &Bytes, part: &Bytes| Arc::ptr_eq(v.shared(), part.shared());
         for seg in segments {
-            let mut views = seg.views.iter().flatten();
+            let mut views = seg.pdu[1..].iter();
             assert!(
                 views.clone().any(|v| is(v, &body)),
                 "segment {} does not view the body",
@@ -412,7 +440,7 @@ mod tests {
         let msg = [&head[..], &body[..]].concat();
         assert!(eb
             .iter()
-            .any(|e| matches!(e, TransportEvent::Message(m) if m[..] == msg[..])));
+            .any(|e| matches!(e, TransportEvent::Message(m) if m.to_vec() == msg)));
     }
 
     #[test]
@@ -441,7 +469,7 @@ mod tests {
             _ => None,
         });
         let delivered = delivered.expect("message must eventually arrive");
-        assert_eq!(&delivered[..], &msg[..], "content intact after ARQ");
+        assert_eq!(delivered.to_vec(), msg, "content intact after ARQ");
         assert!(p.a.stats.retransmissions > 0, "loss must have forced ARQ");
     }
 
@@ -459,10 +487,10 @@ mod tests {
                 .unwrap();
         }
         let (_, eb) = run(&mut p, SimTime::from_secs(60));
-        let messages: Vec<Bytes> = eb
+        let messages: Vec<Vec<u8>> = eb
             .into_iter()
             .filter_map(|e| match e {
-                TransportEvent::Message(m) => Some(m),
+                TransportEvent::Message(m) => Some(m.to_vec()),
                 _ => None,
             })
             .collect();
@@ -482,10 +510,10 @@ mod tests {
         let (ea, eb) = run(&mut p, SimTime::from_secs(5));
         assert!(eb
             .iter()
-            .any(|e| matches!(e, TransportEvent::Message(m) if &m[..] == b"from A")));
+            .any(|e| matches!(e, TransportEvent::Message(m) if m.to_vec() == b"from A")));
         assert!(ea
             .iter()
-            .any(|e| matches!(e, TransportEvent::Message(m) if &m[..] == b"from B")));
+            .any(|e| matches!(e, TransportEvent::Message(m) if m.to_vec() == b"from B")));
     }
 
     #[test]

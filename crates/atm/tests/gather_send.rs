@@ -1,15 +1,18 @@
-//! Wire-identity witness for the gather send path: a message handed to
-//! the transport as 1–3 parts, cut at arbitrary boundaries (empty parts,
-//! segment and cell edges), must put exactly the bytes on the wire that
-//! the same message as one buffer does — every delivered payload, every
-//! run image byte including the AAL5 trailer and CRC, and every
-//! retransmission over a lossy link. The AAL5 writer is checked on its
-//! own too: the pooled gather write against the single-buffer one, with
-//! recycled (dirty) pool buffers.
+//! Wire-identity witness for the by-reference send path: a message
+//! handed to the transport as 1–3 parts, cut at arbitrary boundaries
+//! (empty parts, segment and cell edges), must put exactly the bytes on
+//! the wire that the same message as one buffer does — every delivered
+//! payload, every timer and counter, and every retransmission over a
+//! lossy link — and a clean network must hand it up as one view of the
+//! sender's buffer. The AAL5 gather run is checked on its own too:
+//! against the single-buffer run and the per-cell segmentation, and
+//! through a network with and without cell trains.
 
-use bytes::Bytes;
+use bytes::{Bytes, PartList};
 use mits_atm::transport::MSS;
-use mits_atm::{aal5, AtmNetwork, LinkProfile, ReliableChannel, ServiceClass, TransportEvent};
+use mits_atm::{
+    aal5, AtmNetwork, Delivery, LinkProfile, ReliableChannel, ServiceClass, TransportEvent,
+};
 use mits_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -30,28 +33,30 @@ fn arb_len() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Up to two cut points, each drawn as (kind, random): the message's
-/// ends, a segment edge (MSS−1, MSS, MSS+1), a 48-byte cell multiple, or
-/// anywhere.
-fn arb_cuts() -> impl Strategy<Value = Vec<(u8, u64)>> {
-    prop::collection::vec((0u8..5, any::<u64>()), 0..3)
+/// Up to `max` cut points, each drawn as (kind, random): the message's
+/// ends, a segment edge (MSS−1, MSS, MSS+1), a 48-byte cell multiple,
+/// one byte past another cut, or anywhere.
+fn arb_cuts(max: usize) -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((0u8..6, any::<u64>()), 0..max + 1)
 }
 
 /// The message's parts: `msg` cut at the points `cuts` picks (clamped to
-/// its length and sorted), so 1–3 parts, possibly empty.
+/// its length and sorted), so one more part than cuts, possibly empty or
+/// a single byte.
 fn split(msg: &Bytes, cuts: &[(u8, u64)]) -> Vec<Bytes> {
     let len = msg.len();
-    let mut at: Vec<usize> = cuts
-        .iter()
-        .map(|&(kind, r)| match kind {
+    let mut at: Vec<usize> = Vec::new();
+    for &(kind, r) in cuts {
+        let c = match kind {
             0 => 0,
             1 => len,
             2 => MSS - 1 + (r % 3) as usize,
             3 => (r as usize % (len / 48 + 1)) * 48,
+            4 => at.last().map_or(1, |&c| c + 1),
             _ => r as usize % (len + 1),
-        })
-        .map(|c| c.min(len))
-        .collect();
+        };
+        at.push(c.min(len));
+    }
     at.sort_unstable();
     let mut parts = Vec::new();
     let mut from = 0;
@@ -77,22 +82,12 @@ fn message(len: usize, seed: u64) -> Bytes {
     )
 }
 
-/// One delivered PDU as the receiver saw it.
-#[derive(Debug, PartialEq)]
-struct Pdu {
-    at_us: u64,
-    vc: u16,
-    payload: Vec<u8>,
-    /// The whole run image the payload views: padding, trailer and CRC.
-    image: Vec<u8>,
-    /// The payload's window in that image.
-    window: (usize, usize),
-}
-
 /// Everything observable about one transfer.
 #[derive(Debug, PartialEq)]
 struct Wire {
-    pdus: Vec<Pdu>,
+    /// Every delivered PDU as the receiver saw it: instant, VC and
+    /// bytes, however they are cut into parts.
+    pdus: Vec<Delivery>,
     tx_events: Vec<TransportEvent>,
     rx_events: Vec<TransportEvent>,
     /// Sender and receiver (segments_tx, retransmissions, segments_rx,
@@ -143,15 +138,9 @@ fn transfer(parts: &[Bytes], loss_ppm: u32, seed: u64) -> Wire {
             .clamp(net.now(), deadline);
         net.advance_until_delivery(step, &mut deliveries);
         for d in deliveries.drain(..) {
-            wire.pdus.push(Pdu {
-                at_us: d.at.as_micros(),
-                vc: d.vc.0,
-                payload: d.payload.to_vec(),
-                image: d.payload.shared().to_vec(),
-                window: d.payload.shared_range(),
-            });
             wire.tx_events.extend(tx.on_delivery(&mut net, &d).unwrap());
             wire.rx_events.extend(rx.on_delivery(&mut net, &d).unwrap());
+            wire.pdus.push(d);
         }
         tx.on_tick(&mut net).unwrap();
         rx.on_tick(&mut net).unwrap();
@@ -181,6 +170,25 @@ fn transfer(parts: &[Bytes], loss_ppm: u32, seed: u64) -> Wire {
     wire
 }
 
+/// One PDU sent as `parts` over host → switch → host, with cell trains
+/// or pinned to the per-cell scheduler; also how many runs went by
+/// train.
+fn deliver(parts: &[Bytes], per_cell: bool) -> (Vec<Delivery>, u64) {
+    let mut net = AtmNetwork::new(9);
+    if per_cell {
+        net.force_per_cell();
+    }
+    let a = net.add_host("a");
+    let s = net.add_switch("s");
+    let b = net.add_host("b");
+    net.connect(a, s, LinkProfile::atm_oc3());
+    net.connect(s, b, LinkProfile::atm_oc3());
+    let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
+    net.send(vc, parts).unwrap();
+    let delivered = net.drain(SimTime::from_secs(60));
+    (delivered, net.train_stats().runs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -188,7 +196,7 @@ proptest! {
     #[test]
     fn parts_put_the_concatenation_on_the_wire(
         len in arb_len(),
-        cuts in arb_cuts(),
+        cuts in arb_cuts(2),
         loss_ppm in 0u32..3_000,
         seed in any::<u64>(),
     ) {
@@ -197,32 +205,91 @@ proptest! {
         prop_assert_eq!(parts.iter().map(Bytes::len).sum::<usize>(), len);
         let gathered = transfer(&parts, loss_ppm, seed);
         let whole = transfer(std::slice::from_ref(&msg), loss_ppm, seed);
-        prop_assert_eq!(&gathered.rx_events, &vec![TransportEvent::Message(msg.clone())]);
+        let sent = TransportEvent::Message(PartList::from(msg.clone()));
+        prop_assert_eq!(&gathered.rx_events, &vec![sent]);
         prop_assert_eq!(&gathered.tx_events, &vec![TransportEvent::Sent(0)]);
         prop_assert_eq!(gathered, whole);
     }
 
-    /// The pooled gather write of the run image is the single-buffer
-    /// write of the concatenation, including into recycled buffers that
-    /// still hold an earlier run.
+    /// Over a clean network, a message sent as any split of one buffer
+    /// arrives as one view of that buffer: the segments that rode a cell
+    /// train are its windows, the receiver joins adjacent windows back
+    /// up, and a short last segment, which the per-cell scheduler
+    /// copies, joins by comparison.
     #[test]
-    fn pooled_gather_run_matches_single_buffer_run(
+    fn split_messages_arrive_as_one_view_of_the_sender_buffer(
         len in arb_len(),
-        cuts in arb_cuts(),
+        cuts in arb_cuts(2),
         seed in any::<u64>(),
     ) {
-        let mut pool = Vec::new();
-        for round in 0..3u64 {
-            let msg = message(len, seed.wrapping_add(round));
-            let parts = split(&msg, &cuts);
-            let pdu: Vec<&[u8]> = parts.iter().map(|p| &p[..]).collect();
-            let pooled = aal5::segment_run_pooled(&pdu, &mut pool);
-            let fresh = aal5::segment_run(&msg);
-            prop_assert_eq!(pooled.ncells, fresh.ncells);
-            prop_assert_eq!(&pooled.payload[..], &fresh.payload[..]);
-            prop_assert!(!Arc::ptr_eq(pooled.payload.shared(), fresh.payload.shared()));
+        let msg = message(len, seed);
+        let wire = transfer(&split(&msg, &cuts), 0, seed);
+        let got: Vec<&PartList> = wire
+            .rx_events
+            .iter()
+            .filter_map(|e| match e {
+                TransportEvent::Message(m) => Some(m),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(got.len(), 1);
+        prop_assert_eq!(got[0].to_vec(), msg.to_vec());
+        if len == 0 {
+            prop_assert!(got[0].parts().is_empty());
+        } else {
+            prop_assert_eq!(got[0].parts().len(), 1);
         }
-        // Every round after the first rewrote the first round's buffer.
-        prop_assert!(pool.len() <= 1, "pool grew to {} buffers", pool.len());
+        // A first segment of three cells or fewer (6-byte header and
+        // 8-byte trailer included) rides the per-cell scheduler, which
+        // copies it; anything longer starts with a train.
+        if len > 3 * 48 - 14 {
+            let view = &got[0].parts()[0];
+            prop_assert!(Arc::ptr_eq(view.shared(), msg.shared()), "a copy, not a view");
+            prop_assert_eq!(view.shared_range(), msg.shared_range());
+        }
+    }
+
+    /// The gather run of any split of a PDU — empty and one-byte parts
+    /// included — is the single-buffer run: the same cell count, trailer
+    /// and CRC, and the same per-cell payloads as segmenting the
+    /// concatenation into cells. It reassembles to the sender's own
+    /// views, and a network carries the same bytes with cell trains
+    /// (which deliver those views) as pinned to the per-cell scheduler
+    /// (which delivers one flattened copy).
+    #[test]
+    fn gather_run_matches_single_buffer_run(
+        len in arb_len(),
+        cuts in arb_cuts(5),
+        seed in any::<u64>(),
+    ) {
+        let msg = message(len, seed);
+        let parts = split(&msg, &cuts);
+        let gathered = aal5::segment_run(&parts);
+        let whole = aal5::segment_run(std::slice::from_ref(&msg));
+        prop_assert_eq!(gathered.ncells, whole.ncells);
+        prop_assert_eq!(gathered.trailer, whole.trailer);
+        let cells = aal5::segment(0, 5, 1, &msg);
+        prop_assert_eq!(cells.len(), gathered.ncells);
+        let flat = gathered.flatten();
+        for (k, cell) in cells.iter().enumerate() {
+            prop_assert_eq!(&flat[k * 48..(k + 1) * 48], &cell.payload[..], "cell {}", k);
+        }
+        let back = aal5::reassemble_run(gathered).expect("clean run");
+        prop_assert_eq!(back.concat(), msg.to_vec());
+        prop_assert!(back.iter().all(|p| Arc::ptr_eq(p.shared(), msg.shared())));
+
+        let (batched, runs) = deliver(&parts, false);
+        let (per_cell, _) = deliver(&parts, true);
+        prop_assert_eq!(batched.len(), 1);
+        prop_assert_eq!(&batched, &per_cell);
+        prop_assert_eq!(batched[0].payload.to_vec(), msg.to_vec());
+        if runs > 0 {
+            let views = batched[0].payload.parts();
+            prop_assert!(views.iter().all(|p| Arc::ptr_eq(p.shared(), msg.shared())));
+        }
+        if len > 0 {
+            let copy = &per_cell[0].payload.parts()[0];
+            prop_assert!(!Arc::ptr_eq(copy.shared(), msg.shared()));
+        }
     }
 }

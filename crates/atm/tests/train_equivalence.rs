@@ -16,6 +16,7 @@
 //! expands into cells where it enters the faulted hop, whose fault-RNG
 //! draws must then happen per cell in exactly the per-cell order.
 
+use bytes::Bytes;
 use mits_atm::{
     AtmNetwork, Delivery, FaultPlan, FaultStats, LinkFaults, LinkProfile, NodeId, ServiceClass,
     VcId, VcStats,
@@ -172,7 +173,7 @@ fn run_one(
         let payload: Vec<u8> = (0..st.size)
             .map(|i| ((i as u64).wrapping_mul(2 * st.vc_ix as u64 + 1) % 251) as u8)
             .collect();
-        net.send(vcs[st.vc_ix], &[&payload]).unwrap();
+        net.send(vcs[st.vc_ix], &[Bytes::from(payload)]).unwrap();
     }
     deliveries.extend(net.drain(SimTime::from_secs(120)));
     let vc_stats = vcs

@@ -4,6 +4,7 @@
 //! number. Stage names carry the `net.` prefix the flame profiler
 //! (`tables --exp obs`) uses to attribute time to the atm layer.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mits_atm::aal5::{cells_for, crc32, crc32_slice16, reassemble_run, segment_run};
 use mits_atm::{reassemble, segment, AtmNetwork, LinkProfile, ServiceClass};
@@ -43,15 +44,16 @@ fn bench_media_path(c: &mut Criterion) {
         b.iter(|| reassemble(criterion::black_box(&cells)).unwrap())
     });
 
-    // Stage 3b: the run-descriptor pipeline the train path rides —
-    // segment once into a contiguous run image, reassemble from it
-    // without materializing cells.
+    // Stage 3b: the gather run image the train path rides — a CRC
+    // across the PDU's parts (no copy), and the checking pass that hands
+    // the parts back, without materializing cells.
+    let pdu = [Bytes::from(payload.clone())];
     group.bench_function("net.aal5.segment_run_64KiB", |b| {
-        b.iter(|| segment_run(criterion::black_box(&payload)))
+        b.iter(|| segment_run(criterion::black_box(&pdu)))
     });
-    let run = segment_run(&payload);
+    let run = segment_run(&pdu);
     group.bench_function("net.aal5.reassemble_run_64KiB", |b| {
-        b.iter(|| reassemble_run(criterion::black_box(&run.payload)).unwrap())
+        b.iter(|| reassemble_run(criterion::black_box(run.clone())).unwrap())
     });
 
     // Stage 4: switch advance — one PDU through a two-hop OC-3 path.
@@ -74,7 +76,7 @@ fn bench_media_path(c: &mut Criterion) {
                 net.connect(a, s, LinkProfile::atm_oc3());
                 net.connect(s, d, LinkProfile::atm_oc3());
                 let vc = net.open_vc(&[a, s, d], ServiceClass::Ubr, None).unwrap();
-                net.send(vc, &[&payload]).unwrap();
+                net.send(vc, &pdu).unwrap();
                 let deliveries = net.drain(SimTime::from_secs(10));
                 assert_eq!(deliveries.len(), 1);
             })

@@ -44,7 +44,8 @@ fn bench_networks(c: &mut Criterion) {
             net.connect(a, s, LinkProfile::atm_oc3());
             net.connect(s, d, LinkProfile::atm_oc3());
             let vc = net.open_vc(&[a, s, d], ServiceClass::Ubr, None).unwrap();
-            net.send(vc, &[&vec![0u8; 1 << 20]]).unwrap();
+            net.send(vc, &[bytes::Bytes::from(vec![0u8; 1 << 20])])
+                .unwrap();
             let deliveries = net.drain(SimTime::from_secs(10));
             assert_eq!(deliveries.len(), 1);
         })

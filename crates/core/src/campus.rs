@@ -58,19 +58,27 @@ use mits_db::{RetryPolicy, ShardRouter};
 use mits_media::{MediaFormat, MediaId, MediaObject, VideoDims};
 use mits_mheg::{ClassLibrary, GenericValue, MhegId, MhegObject};
 use mits_sim::{
-    derive_seed, forensics, DigestTrace, Exemplar, FaultWindow, ForensicBundle, ForensicInput,
-    Histogram, MetricsSnapshot, ReplayBundle, SampleReason, SessionTail, SimDuration, SimTime, Slo,
-    SloInput, SloReport, TailSignals, Timeline, TimelineRecorder, TraceSampler,
+    derive_seed, forensics, DigestTrace, Exemplar, FaultWindow, FlightEvent, ForensicBundle,
+    ForensicInput, Histogram, MetricsRegistry, MetricsSnapshot, ReplayBundle, SampleReason,
+    SessionTail, SimDuration, SimTime, Slo, SloInput, SloReport, TailSignals, Timeline,
+    TimelineRecorder, TraceSampler,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Histogram geometry for per-session simulated time, shared by every
 /// session so the merged campus histogram is well-defined.
 const SESSION_SECS_HI: f64 = 60.0;
 const SESSION_SECS_BINS: usize = 600;
+
+/// The virtual time a panicked session is charged. Its world unwound, so
+/// the time it burned is unknown; the top of the session-time range puts
+/// its sample in the slow tail a failed session belongs to, where a zero
+/// would pull the session-time percentiles down.
+const PANICKED_SESSION: SimDuration = SimDuration::from_secs(SESSION_SECS_HI as u64);
 
 /// Host-wall histogram geometry for per-session wall time (1 ms bins).
 const WALL_SECS_HI: f64 = 60.0;
@@ -808,39 +816,53 @@ impl Campus {
                         student,
                         seed: derive_seed(self.base_seed, student as u64),
                     };
-                    let base = SystemConfig::broadband(1)
-                        .with_seed(spec.seed)
-                        .with_flight_ring(self.flight_ring);
-                    let config = match &self.session_config {
-                        Some(f) => f(&spec, base),
-                        None => base,
-                    };
-                    // run: build the session's world (reusing this
-                    // worker's scratch), mount its courseware and fetch.
-                    let workload = student % self.workloads.len();
-                    let ran = images
-                        .get(&self.workloads, workload, &config)
-                        .and_then(|image| {
-                            run_session(
-                                &self.workloads[workload],
-                                &image,
-                                &sampler,
-                                &spec,
-                                &config,
-                                std::mem::take(&mut scratch),
-                                &mut out.snapshot,
-                                None,
-                            )
-                        });
+                    let started = Instant::now();
+                    // run: configure the session, build its world
+                    // (reusing this worker's scratch), mount its
+                    // courseware and fetch. A panic anywhere in there
+                    // is this session's alone: it unwinds to here.
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                        let base = SystemConfig::broadband(1)
+                            .with_seed(spec.seed)
+                            .with_flight_ring(self.flight_ring);
+                        let config = match &self.session_config {
+                            Some(f) => f(&spec, base),
+                            None => base,
+                        };
+                        let workload = student % self.workloads.len();
+                        images
+                            .get(&self.workloads, workload, &config)
+                            .and_then(|image| {
+                                run_session(
+                                    &self.workloads[workload],
+                                    &image,
+                                    &sampler,
+                                    &spec,
+                                    &config,
+                                    std::mem::take(&mut scratch),
+                                    &mut out.snapshot,
+                                    None,
+                                )
+                            })
+                    }));
                     // retire: the session's world is already torn down
                     // (its allocations harvested into `scratch`); fold
                     // the outcome.
                     match ran {
-                        Ok((outcome, recycled)) => {
+                        Ok(Ok((outcome, recycled))) => {
                             scratch = recycled;
                             out.push(outcome);
                         }
-                        Err(e) => {
+                        Err(payload) => {
+                            // Whatever the unwound session held is gone;
+                            // the next one starts from a fresh scratch.
+                            scratch = SessionScratch::default();
+                            let error = format!("session panicked: {}", panic_message(&*payload));
+                            let outcome =
+                                panicked_session(&spec, error, started, &mut out.snapshot);
+                            out.push(outcome);
+                        }
+                        Ok(Err(e)) => {
                             cursor.store(n_batches, Ordering::Relaxed);
                             let mut f = fatal.lock().expect("campus fatal");
                             if f.is_none() {
@@ -858,12 +880,11 @@ impl Campus {
             work();
         } else {
             let work = &work;
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(move |_| work());
+                    scope.spawn(work);
                 }
-            })
-            .map_err(|_| SystemError::Protocol("campus worker panicked".into()))?;
+            });
         }
 
         if let Some(e) = fatal.into_inner().expect("campus fatal") {
@@ -1127,7 +1148,10 @@ impl CourseImages {
         config: &SystemConfig,
     ) -> Result<Arc<CourseImage>, SystemError> {
         let key = (workload, config.shards.max(1), config.replica);
-        let mut images = self.0.lock().expect("course images");
+        // A session that panicked while publishing left the map as it
+        // was (an image is inserted only once published), so a poisoned
+        // lock is still sound.
+        let mut images = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(image) = images.get(&key) {
             return Ok(Arc::clone(image));
         }
@@ -1318,18 +1342,12 @@ fn run_session(
     layers.record("db_state", digest);
 
     // Telemetry: refresh this session's registry (stamped at the final
-    // virtual instant) with the campus-level session counters the SLO
-    // layer reads from the merged rollup. The registry folds straight
-    // into the batch's metrics when the session retires.
+    // virtual instant); `retire` adds the campus-level session counters,
+    // and the registry folds straight into the batch's metrics.
     sys.export_metrics();
     let degraded = sys.client_metrics(student_id).tail_sample_signal() || failed;
     let failed_over = sys.failovers > 0;
     let anomalous = degraded || failed_over;
-    sys.metrics.counter_set("campus.sessions", 1);
-    sys.metrics
-        .counter_set("campus.sessions_degraded", u64::from(anomalous));
-    sys.metrics
-        .counter_set("campus.sessions_failed", u64::from(failed));
     // A failed session's fetch-time sum only counts the fetches that
     // succeeded, which understates how long the seat was held; charge
     // it the virtual time it burned until retirement instead, so its
@@ -1339,20 +1357,6 @@ fn run_session(
     } else {
         session
     };
-    // The session-duration sample carries an exemplar: (student index
-    // as trace id, root span id, retire instant). Exemplar selection is
-    // a deterministic total order, so the merged histogram keeps the
-    // same exemplars regardless of merge grouping.
-    sys.metrics.observe_exemplar(
-        "campus.session_secs",
-        observed.as_secs_f64(),
-        0.0,
-        SESSION_SECS_HI,
-        SESSION_SECS_BINS,
-        spec.student as u64,
-        root.as_u64(),
-        end_at,
-    );
     let sampled = sampler.decide(
         spec.student as u64,
         &TailSignals {
@@ -1361,29 +1365,11 @@ fn run_session(
             session,
         },
     );
-    sys.metrics
-        .counter_set("campus.traces_sampled", u64::from(sampled.is_some()));
     let trace = sampled.map(|reason| ShardTrace {
         student: spec.student,
         seed: spec.seed,
         reason,
         jsonl: sys.tracer.to_jsonl(),
-    });
-
-    // Fold the flight-recorder tail and the retirement into this
-    // session's timeline slice; keep the raw tail as forensic evidence
-    // only when the session was anomalous (tail-sampled sessions are
-    // exactly the ones bundles reference).
-    let flight_events = sys.flight.tail();
-    let mut recorder = TimelineRecorder::new(TIMELINE_WINDOW);
-    recorder.record_events(&flight_events);
-    recorder.record_session(end_at, observed, anomalous, failed);
-    let timeline = recorder.finish();
-    let tail = anomalous.then(|| SessionTail {
-        student: spec.student as u64,
-        failed,
-        events: flight_events,
-        dropped: sys.flight.dropped(),
     });
 
     let report = SessionReport {
@@ -1400,6 +1386,14 @@ fn run_session(
         layers,
         wall_secs: start.elapsed().as_secs_f64(),
     };
+    let (timeline, tail) = retire(
+        &report,
+        observed,
+        root.as_u64(),
+        &sys.metrics,
+        sys.flight.tail(),
+        sys.flight.dropped(),
+    );
     if let Some(observe) = observe {
         observe(&sys);
     }
@@ -1415,6 +1409,105 @@ fn run_session(
         },
         scratch,
     ))
+}
+
+/// Count a retiring session into its metrics registry and its timeline
+/// slice, the same way whether it ran to its end or panicked: the
+/// campus-level session counters the SLO layer reads from the merged
+/// rollup, and the session-time sample `observed`. The sample carries an
+/// exemplar (student index as trace id, root span id `span`, retire
+/// instant); exemplar selection is a deterministic total order, so the
+/// merged histogram keeps the same exemplars regardless of merge
+/// grouping. The flight-recorder tail `events` and the retirement fold
+/// into the timeline slice; the raw tail is kept as forensic evidence
+/// only when the session was anomalous (tail-sampled sessions are
+/// exactly the ones bundles reference).
+fn retire(
+    report: &SessionReport,
+    observed: SimDuration,
+    span: u64,
+    metrics: &MetricsRegistry,
+    events: Vec<FlightEvent>,
+    dropped: u64,
+) -> (Timeline, Option<SessionTail>) {
+    metrics.counter_set("campus.sessions", 1);
+    metrics.counter_set("campus.sessions_degraded", u64::from(report.anomalous));
+    metrics.counter_set("campus.sessions_failed", u64::from(report.failed));
+    metrics.counter_set("campus.traces_sampled", u64::from(report.sampled.is_some()));
+    metrics.observe_exemplar(
+        "campus.session_secs",
+        observed.as_secs_f64(),
+        0.0,
+        SESSION_SECS_HI,
+        SESSION_SECS_BINS,
+        report.student as u64,
+        span,
+        report.end,
+    );
+    let mut recorder = TimelineRecorder::new(TIMELINE_WINDOW);
+    recorder.record_events(&events);
+    recorder.record_session(report.end, observed, report.anomalous, report.failed);
+    let tail = report.anomalous.then_some(SessionTail {
+        student: report.student as u64,
+        failed: report.failed,
+        events,
+        dropped,
+    });
+    (recorder.finish(), tail)
+}
+
+/// The message a panic carried, when it is a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
+}
+
+/// Retire a session that panicked — in the configure hook or anywhere in
+/// [`run_session`] — as failed, exactly as a session that died of an
+/// error retires: its digest folds the seed and [`SESSION_FAILED_MARK`],
+/// and it counts as a failed, anomalous session in the rollup, the
+/// timeline and the forensic tails. Nothing of its unwound world
+/// survives, so it reports no bytes and no trace, and it is charged
+/// [`PANICKED_SESSION`] of virtual time.
+fn panicked_session(
+    spec: &SessionSpec,
+    error: String,
+    started: Instant,
+    rollup: &mut MetricsSnapshot,
+) -> SessionOutcome {
+    let mut layers = DigestTrace::new();
+    let mut digest = fnv_fold(FNV_OFFSET, spec.seed);
+    layers.record("seed", digest);
+    digest = fnv_fold(digest, SESSION_FAILED_MARK);
+    layers.record("failure", digest);
+    let report = SessionReport {
+        student: spec.student,
+        seed: spec.seed,
+        digest,
+        bytes: 0,
+        session: SimDuration::ZERO,
+        anomalous: true,
+        failed: true,
+        error: Some(error),
+        sampled: None,
+        end: SimTime::ZERO + PANICKED_SESSION,
+        layers,
+        wall_secs: started.elapsed().as_secs_f64(),
+    };
+    let metrics = MetricsRegistry::new();
+    let (timeline, tail) = retire(&report, PANICKED_SESSION, 0, &metrics, Vec::new(), 0);
+    rollup.merge_registry(&metrics);
+    SessionOutcome {
+        report,
+        trace: None,
+        timeline,
+        tail,
+    }
 }
 
 #[cfg(test)]

@@ -203,10 +203,7 @@ impl<'a> CodSession<'a> {
         let mut total = SimDuration::ZERO;
         for media in self.unit_media[unit].clone() {
             match self.system.fetch_content(self.client, media) {
-                Ok((m, t)) => {
-                    debug_assert!(m.verify(), "content corrupted in flight");
-                    total += t;
-                }
+                Ok((_, t)) => total += t,
                 // Graceful degradation: a missing or unreachable content
                 // object downgrades its element to a placeholder instead
                 // of killing the whole session. Anything else (protocol

@@ -71,7 +71,7 @@ pub fn stream_video_over(
         let mut payload = BytesMut::with_capacity(e.bytes.max(8));
         payload.put_u64(i as u64);
         payload.resize(e.bytes.max(8), 0);
-        net.send(vc, &[&payload]).expect("vc open");
+        net.send(vc, &[payload.freeze()]).expect("vc open");
         deadline_of.insert(i as u64, SimTime::ZERO + prebuffer + e.at);
     }
     deliveries.extend(net.drain(SimTime::ZERO + duration + SimDuration::from_secs(3600)));
@@ -80,10 +80,11 @@ pub fn stream_video_over(
     let mut late = 0u64;
     let mut lateness = OnlineStats::new();
     for d in deliveries {
-        if d.payload.len() < 8 {
+        let frame = d.payload.to_bytes();
+        if frame.len() < 8 {
             continue;
         }
-        let idx = u64::from_be_bytes(d.payload[..8].try_into().expect("8 bytes"));
+        let idx = u64::from_be_bytes(frame[..8].try_into().expect("8 bytes"));
         delivered += 1;
         if let Some(deadline) = deadline_of.get(&idx) {
             if d.at > *deadline {
@@ -140,7 +141,7 @@ pub fn stream_audio_over(
         let mut payload = BytesMut::with_capacity(e.bytes.max(8));
         payload.put_u64(i as u64);
         payload.resize(e.bytes.max(8), 0);
-        net.send(vc, &[&payload]).expect("vc open");
+        net.send(vc, &[payload.freeze()]).expect("vc open");
         deadline_of.insert(i as u64, at + prebuffer);
     }
     deliveries.extend(net.drain(SimTime::ZERO + duration + SimDuration::from_secs(3600)));
@@ -148,10 +149,11 @@ pub fn stream_audio_over(
     let mut late = 0u64;
     let mut lateness = OnlineStats::new();
     for d in deliveries {
-        if d.payload.len() < 8 {
+        let frame = d.payload.to_bytes();
+        if frame.len() < 8 {
             continue;
         }
-        let idx = u64::from_be_bytes(d.payload[..8].try_into().expect("8 bytes"));
+        let idx = u64::from_be_bytes(frame[..8].try_into().expect("8 bytes"));
         delivered += 1;
         if let Some(deadline) = deadline_of.get(&idx) {
             if d.at > *deadline {

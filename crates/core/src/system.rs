@@ -9,7 +9,7 @@
 //! information provided by the client" with a modelled service time, and
 //! the response rides back — all on one deterministic virtual clock.
 
-use bytes::Bytes;
+use bytes::{Bytes, PartList};
 use mits_atm::{
     AtmNetwork, CrashSchedule, Delivery, FaultKind, FaultPlan, LinkProfile, NetError, NetScratch,
     NodeId, ReliableChannel, ServiceClass, TransportEvent, VcId,
@@ -1186,6 +1186,7 @@ impl MitsSystem {
                         self.servers[s].rep_chan = Some(ch);
                         for ev in events {
                             if let TransportEvent::Message(frame) = ev {
+                                let frame = frame.to_bytes();
                                 let _ = self.servers[s].db.apply_shipped(&frame);
                             }
                         }
@@ -1204,9 +1205,9 @@ impl MitsSystem {
                                 // Downlink hop span: from the response's
                                 // ready time (recorded at serve) to now.
                                 if let Some(parent) =
-                                    peek_response_trace(&frame).and_then(SpanId::from_wire)
+                                    peek_response_trace(frame.parts()).and_then(SpanId::from_wire)
                                 {
-                                    if let Some(ready_at) = peek_req_id(&frame)
+                                    if let Some(ready_at) = peek_req_id(frame.parts())
                                         .and_then(|id| self.resp_meta.remove(&(i, id)))
                                     {
                                         let hop =
@@ -1215,15 +1216,14 @@ impl MitsSystem {
                                         self.tracer.end(hop, now);
                                     }
                                 }
-                                let event = self.endpoints[i].db_client.on_frame(&frame, now);
+                                let event =
+                                    self.endpoints[i].db_client.on_frame(frame.parts(), now);
                                 self.deliver_event(i, event);
                             }
                         }
                     }
                 }
             }
-            // Drop the payload views before the buffer is reused, so
-            // their run images can return to the network's pool.
             deliveries.clear();
             self.deliveries = deliveries;
             for e in &mut self.endpoints {
@@ -1251,8 +1251,8 @@ impl MitsSystem {
     /// backlog is past the configured overload threshold are shed with a
     /// cheap `Unavailable` that bypasses the service queue. Every
     /// response is stamped with the server's failover epoch.
-    fn serve(&mut self, server: usize, peer: usize, frame: &Bytes) -> Result<(), SystemError> {
-        let env = Request::decode_shared(frame)?;
+    fn serve(&mut self, server: usize, peer: usize, frame: &PartList) -> Result<(), SystemError> {
+        let env = Request::decode_parts(frame.parts())?;
         let now = self.net.now();
         let kind = env.body.kind();
         let node = &mut self.servers[server];
@@ -1804,6 +1804,7 @@ mod tests {
         compile_imd, ElementKind, ImDocument, Scene, Section, Subsection, TimelineEntry,
     };
     use mits_media::{CaptureSpec, MediaFormat, ProductionCenter};
+    use std::sync::Arc;
 
     fn tiny_course() -> (Vec<MhegObject>, Vec<MediaObject>, MhegId) {
         let mut pc = ProductionCenter::new(7);
@@ -1872,16 +1873,56 @@ mod tests {
     #[test]
     fn fetch_content_uses_cache_second_time() {
         let (objects, media, _) = tiny_course();
-        let id = media[0].id;
+        let src = media[0].clone();
         let mut sys = MitsSystem::build(&SystemConfig::broadband(1)).unwrap();
         sys.load_directly(objects, media);
-        let (m1, t1) = sys.fetch_content(ClientId(0), id).unwrap();
+        let (m1, t1) = sys.fetch_content(ClientId(0), src.id).unwrap();
         assert!(t1 > SimDuration::ZERO);
-        assert!(m1.verify(), "content intact across the network");
-        let (_, t2) = sys.fetch_content(ClientId(0), id).unwrap();
+        assert_eq!(m1, src, "content intact across the network");
+        let (_, t2) = sys.fetch_content(ClientId(0), src.id).unwrap();
         assert_eq!(t2, SimDuration::ZERO, "cache hit skips the network");
         let (hits, _) = sys.client_cache_stats(ClientId(0));
         assert!(hits >= 1);
+    }
+
+    /// A clean broadband fetch hands the student the server's stored
+    /// clip itself — the response rode every hop as views of it, and the
+    /// client joined them back up — while the same fetch over a lossy
+    /// downlink, whose cells the switch must handle one by one, delivers
+    /// the same bytes as a copy.
+    #[test]
+    fn clean_fetch_shares_the_stored_clip_and_a_lossy_one_copies() {
+        let clip = MediaObject::new(
+            MediaId(77),
+            "lecture.mpg",
+            MediaFormat::Mpeg,
+            SimDuration::from_secs(1),
+            mits_media::VideoDims::new(320, 240),
+            Bytes::from(
+                (0..200 * 1024)
+                    .map(|i| (i * 7 % 251) as u8)
+                    .collect::<Vec<u8>>(),
+            ),
+        );
+        let fetch = |lossy: bool| {
+            let mut sys = MitsSystem::build(&SystemConfig::broadband(1)).unwrap();
+            if lossy {
+                let plan = mits_atm::FaultPlan::none().with_link(
+                    sys.switch(),
+                    sys.client_host(ClientId(0)),
+                    mits_atm::LinkFaults::loss(1e-3),
+                );
+                sys.net.set_fault_plan(plan);
+            }
+            sys.load_shared(&[], std::slice::from_ref(&clip));
+            sys.fetch_content(ClientId(0), clip.id).unwrap().0
+        };
+        let clean = fetch(false);
+        assert_eq!(clean, clip);
+        assert!(Arc::ptr_eq(clean.data.shared(), clip.data.shared()));
+        let lossy = fetch(true);
+        assert_eq!(lossy, clip);
+        assert!(!Arc::ptr_eq(lossy.data.shared(), clip.data.shared()));
     }
 
     #[test]
@@ -1987,7 +2028,7 @@ mod tests {
             let (ids, _) = sys.get_doc_by_keyword(c, "telecom").unwrap();
             assert_eq!(ids, vec![root]);
             let (m0, _) = sys.fetch_content(c, media[0].id).unwrap();
-            assert!(m0.verify(), "content survives the lossy uplink intact");
+            assert_eq!(m0, media[0], "content survives the lossy uplink intact");
             let m = sys.client_metrics(c).clone();
             assert_eq!(m.completed, 13);
             assert!(m.attempts >= 13);

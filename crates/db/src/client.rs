@@ -666,7 +666,10 @@ impl DbClient {
 
     // --- Response path ---------------------------------------------------
 
-    /// Consume a response frame received at `now`.
+    /// Consume a response frame received at `now`, given as its parts in
+    /// order (a message handed up by the transport; one buffer is
+    /// `std::slice::from_ref(&frame)`). A `Content` body that arrives as
+    /// one part stays a view of it, in the response and in the cache.
     ///
     /// Completions feed the cache and the latency histograms. A frame
     /// whose body fails to decode still fails its pending request (the
@@ -675,9 +678,9 @@ impl DbClient {
     /// matching nothing in flight are [`ClientEvent::Ignored`]: with
     /// idempotent re-issue a late duplicate of a completed request is
     /// expected traffic, not a protocol violation.
-    pub fn on_frame(&mut self, frame: &Bytes, now: SimTime) -> ClientEvent {
-        self.metrics.bytes_received += frame.len() as u64;
-        let (env, epoch) = match Response::decode_with_epoch_shared(frame) {
+    pub fn on_frame(&mut self, frame: &[Bytes], now: SimTime) -> ClientEvent {
+        self.metrics.bytes_received += frame.iter().map(Bytes::len).sum::<usize>() as u64;
+        let (env, epoch) = match Response::decode_parts(frame) {
             Ok(pair) => pair,
             Err(e) => {
                 self.metrics.decode_errors += 1;
@@ -977,14 +980,14 @@ mod tests {
         // Respond out of order.
         let r2 = loopback(&server, &f2);
         let r1 = loopback(&server, &f1);
-        match client.on_frame(&r2, t) {
+        match client.on_frame(std::slice::from_ref(&r2), t) {
             ClientEvent::Completed { env, attempts, .. } => {
                 assert_eq!(env.req_id, id2);
                 assert_eq!(attempts, 1);
             }
             other => panic!("{other:?}"),
         }
-        match client.on_frame(&r1, t) {
+        match client.on_frame(std::slice::from_ref(&r1), t) {
             ClientEvent::Completed { env, .. } => assert_eq!(env.req_id, id1),
             other => panic!("{other:?}"),
         }
@@ -996,7 +999,10 @@ mod tests {
     fn unsolicited_response_ignored() {
         let mut client = DbClient::new(1 << 20);
         let frame = Response::Ack.encode(999);
-        assert_eq!(client.on_frame(&frame, SimTime::ZERO), ClientEvent::Ignored);
+        assert_eq!(
+            client.on_frame(std::slice::from_ref(&frame), SimTime::ZERO),
+            ClientEvent::Ignored
+        );
         assert_eq!(client.metrics.ignored, 1);
     }
 
@@ -1009,7 +1015,7 @@ mod tests {
         // A frame carrying the right correlation id but a mangled body.
         let mut bad = id.to_be_bytes().to_vec();
         bad.push(200); // unknown response tag
-        match client.on_frame(&Bytes::from(bad), SimTime::ZERO) {
+        match client.on_frame(&[Bytes::from(bad)], SimTime::ZERO) {
             ClientEvent::Failed { req_id, error } => {
                 assert_eq!(req_id, id);
                 assert!(matches!(error, DbError::Malformed(_)));
@@ -1033,7 +1039,7 @@ mod tests {
             Ok(_) => panic!("cold cache cannot hit"),
         };
         let resp = loopback(&server, &frame);
-        client.on_frame(&resp, t);
+        client.on_frame(std::slice::from_ref(&resp), t);
         // Second fetch hits the cache, no frame.
         let hit = client.fetch_object_at(a, t).expect("cache hit");
         assert_eq!(hit.id, a);
@@ -1041,7 +1047,7 @@ mod tests {
         // Courseware fetch caches the whole closure.
         let (_, frame) = client.request_at(Request::GetCourseware { root: course }, t);
         let resp = loopback(&server, &frame);
-        client.on_frame(&resp, t);
+        client.on_frame(std::slice::from_ref(&resp), t);
         assert!(client.fetch_object_at(course, t).is_ok());
     }
 
@@ -1072,7 +1078,7 @@ mod tests {
         assert_eq!(client.metrics.retries, 1);
         // The retry reaches the server; the response completes the request.
         let resp = loopback(&server, &frame);
-        match client.on_frame(&resp, SimTime::from_millis(620)) {
+        match client.on_frame(std::slice::from_ref(&resp), SimTime::from_millis(620)) {
             ClientEvent::Completed {
                 attempts, latency, ..
             } => {
@@ -1083,7 +1089,7 @@ mod tests {
         }
         // And a late duplicate of attempt 1 is quietly dropped.
         assert_eq!(
-            client.on_frame(&resp, SimTime::from_millis(650)),
+            client.on_frame(std::slice::from_ref(&resp), SimTime::from_millis(650)),
             ClientEvent::Ignored
         );
         // Latency landed in the GetObject histogram.
@@ -1117,7 +1123,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let resp = loopback(&server, &frame);
-        client.on_frame(&resp, SimTime::from_millis(620));
+        client.on_frame(std::slice::from_ref(&resp), SimTime::from_millis(620));
         let spans = tr.spans();
         let req = &spans[span as usize - 1];
         assert_eq!(req.name, "db.request get_object");
@@ -1171,7 +1177,7 @@ mod tests {
         let mut client = DbClient::with_policy(1 << 20, policy, 3);
         let (id, _) = client.get_list_doc(SimTime::ZERO);
         let shed = Response::Err(DbError::Unavailable("queue full".into())).encode(id);
-        match client.on_frame(&shed, SimTime::from_millis(10)) {
+        match client.on_frame(std::slice::from_ref(&shed), SimTime::from_millis(10)) {
             ClientEvent::RetryScheduled { req_id, retry_at } => {
                 assert_eq!(req_id, id);
                 assert_eq!(
@@ -1187,7 +1193,7 @@ mod tests {
         let actions = client.poll(SimTime::from_millis(110));
         assert!(matches!(&actions[..], [ClientAction::Resend { req_id, .. }] if *req_id == id));
         // Second shed, second (doubled) backoff.
-        match client.on_frame(&shed, SimTime::from_millis(120)) {
+        match client.on_frame(std::slice::from_ref(&shed), SimTime::from_millis(120)) {
             ClientEvent::RetryScheduled { retry_at, .. } => {
                 assert_eq!(retry_at, SimTime::from_millis(320), "exponential: 200 ms");
             }
@@ -1201,7 +1207,7 @@ mod tests {
         let mut client = DbClient::new(1 << 20);
         let (id, _) = client.get_list_doc(SimTime::ZERO);
         let shed = Response::Err(DbError::Unavailable("queue full".into())).encode(id);
-        match client.on_frame(&shed, SimTime::from_millis(1)) {
+        match client.on_frame(std::slice::from_ref(&shed), SimTime::from_millis(1)) {
             ClientEvent::Completed { env, .. } => {
                 assert!(matches!(env.body, Response::Err(DbError::Unavailable(_))));
             }
@@ -1219,7 +1225,7 @@ mod tests {
         let (id1, f1) = client.request_at(Request::GetObject { id: a }, t);
         let env = Request::decode(&f1).unwrap();
         let (resp, _) = server.handle(&env.body);
-        match client.on_frame(&resp.encode_with_epoch(id1, 2), t) {
+        match client.on_frame(&[resp.encode_with_epoch(id1, 2)], t) {
             ClientEvent::Completed { .. } => {}
             other => panic!("{other:?}"),
         }
@@ -1230,13 +1236,13 @@ mod tests {
         let env = Request::decode(&f2).unwrap();
         let (resp, _) = server.handle(&env.body);
         assert_eq!(
-            client.on_frame(&resp.encode_with_epoch(id2, 1), t),
+            client.on_frame(&[resp.encode_with_epoch(id2, 1)], t),
             ClientEvent::Ignored
         );
         assert_eq!(client.metrics.stale_epoch, 1);
         assert_eq!(client.pending_count(), 1, "request still in flight");
         // The promoted replica (epoch 3) completes it.
-        match client.on_frame(&resp.encode_with_epoch(id2, 3), t) {
+        match client.on_frame(&[resp.encode_with_epoch(id2, 3)], t) {
             ClientEvent::Completed { env, .. } => assert_eq!(env.req_id, id2),
             other => panic!("{other:?}"),
         }
@@ -1254,15 +1260,21 @@ mod tests {
         let (id1, f1) = client.request_at(Request::GetObject { id: a }, t);
         let env = Request::decode(&f1).unwrap();
         let (resp, _) = server.handle(&env.body);
-        client.on_frame(&resp.encode_with_epoch(id1, 2), t);
+        client.on_frame(&[resp.encode_with_epoch(id1, 2)], t);
         // The next request draws a stale answer (epoch 1) — and the
         // transport delivers it twice (byte-identical re-issue traffic).
         let (id2, f2) = client.request_at(Request::GetObject { id: a }, t);
         let env = Request::decode(&f2).unwrap();
         let (resp, _) = server.handle(&env.body);
         let stale = resp.encode_with_epoch(id2, 1);
-        assert_eq!(client.on_frame(&stale, t), ClientEvent::Ignored);
-        assert_eq!(client.on_frame(&stale, t), ClientEvent::Ignored);
+        assert_eq!(
+            client.on_frame(std::slice::from_ref(&stale), t),
+            ClientEvent::Ignored
+        );
+        assert_eq!(
+            client.on_frame(std::slice::from_ref(&stale), t),
+            ClientEvent::Ignored
+        );
         assert_eq!(
             client.metrics.stale_epoch, 1,
             "duplicate stale delivery of one attempt counts once"
@@ -1274,7 +1286,7 @@ mod tests {
         client.poll(SimTime::from_millis(600)); // backoff elapses → attempt 2
         assert_eq!(client.metrics.retries, 1);
         assert_eq!(
-            client.on_frame(&stale, SimTime::from_millis(610)),
+            client.on_frame(std::slice::from_ref(&stale), SimTime::from_millis(610)),
             ClientEvent::Ignored
         );
         assert_eq!(
@@ -1282,7 +1294,7 @@ mod tests {
             "one count per attempt answered"
         );
         // The promoted replica still completes the request.
-        match client.on_frame(&resp.encode_with_epoch(id2, 3), SimTime::from_millis(620)) {
+        match client.on_frame(&[resp.encode_with_epoch(id2, 3)], SimTime::from_millis(620)) {
             ClientEvent::Completed { env, .. } => assert_eq!(env.req_id, id2),
             other => panic!("{other:?}"),
         }
@@ -1298,7 +1310,7 @@ mod tests {
         client.set_request_domain(id1, 1);
         let env = Request::decode(&f1).unwrap();
         let (resp, _) = server.handle(&env.body);
-        client.on_frame(&resp.encode_with_epoch(id1, 5), t);
+        client.on_frame(&[resp.encode_with_epoch(id1, 5)], t);
         assert_eq!(client.epoch_floor(1), 5);
         assert_eq!(client.epoch_floor(0), 0);
         // Shard 0 still answers at epoch 0 — healthy, must complete.
@@ -1306,7 +1318,7 @@ mod tests {
         client.set_request_domain(id2, 0);
         let env = Request::decode(&f2).unwrap();
         let (resp, _) = server.handle(&env.body);
-        match client.on_frame(&resp.encode_with_epoch(id2, 0), t) {
+        match client.on_frame(&[resp.encode_with_epoch(id2, 0)], t) {
             ClientEvent::Completed { env, .. } => assert_eq!(env.req_id, id2),
             other => panic!("another shard's promotion must not fence shard 0: {other:?}"),
         }
@@ -1317,7 +1329,7 @@ mod tests {
         let env = Request::decode(&f3).unwrap();
         let (resp, _) = server.handle(&env.body);
         assert_eq!(
-            client.on_frame(&resp.encode_with_epoch(id3, 4), t),
+            client.on_frame(&[resp.encode_with_epoch(id3, 4)], t),
             ClientEvent::Ignored
         );
         assert_eq!(client.metrics.stale_epoch, 1);

@@ -16,6 +16,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use mits_media::{MediaFormat, MediaId, MediaObject, VideoDims};
 use mits_mheg::{decode_object, encode_object, MhegId, MhegObject, WireFormat};
 use mits_sim::SimDuration;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors a server can return / decode failures.
@@ -241,22 +242,23 @@ impl Response {
     }
 }
 
-/// Read the correlation id off a frame without decoding the body.
+/// Read the correlation id off a frame (its parts, in order) without
+/// decoding the body.
 ///
 /// The `req_id` is always the first big-endian `u64` on the wire, so a
 /// client can still correlate (and fail) a pending request whose response
 /// body arrives corrupted.
-pub fn peek_req_id(frame: &[u8]) -> Option<u64> {
-    let raw: [u8; 8] = frame.get(..8)?.try_into().ok()?;
-    Some(u64::from_be_bytes(raw))
+pub fn peek_req_id(frame: &[Bytes]) -> Option<u64> {
+    R::new(frame).u64().ok()
 }
 
-/// Read a response's trace context off a frame without decoding the
-/// body. Returns the raw span id (0 = untraced); the trace rides right
-/// after the correlation id and epoch.
-pub fn peek_response_trace(frame: &[u8]) -> Option<u64> {
-    let raw: [u8; 8] = frame.get(16..24)?.try_into().ok()?;
-    Some(u64::from_be_bytes(raw))
+/// Read a response's trace context off a frame (its parts, in order)
+/// without decoding the body. Returns the raw span id (0 = untraced); the
+/// trace rides right after the correlation id and epoch.
+pub fn peek_response_trace(frame: &[Bytes]) -> Option<u64> {
+    let mut r = R::new(frame);
+    r.take(16).ok()?;
+    r.u64().ok()
 }
 
 /// A correlated protocol message (request or response share the id).
@@ -307,72 +309,106 @@ impl W {
     }
 }
 
+/// Reader over a frame held as parts (their concatenation, in order).
+/// Fields inside one part are read in place, and byte fields come back
+/// as views of it; only a field that straddles two parts is copied,
+/// once.
 struct R<'a> {
-    d: &'a [u8],
-    /// When decoding straight off a wire frame, the frame itself — lets
-    /// [`R::bytes`] return zero-copy views instead of copies.
-    shared: Option<&'a Bytes>,
+    parts: &'a [Bytes],
+    /// The part being read and the offset within it.
+    i: usize,
     p: usize,
 }
 
 type DR<T> = Result<T, DbError>;
 
 impl<'a> R<'a> {
-    fn new(d: &'a [u8]) -> Self {
-        R {
-            d,
-            shared: None,
-            p: 0,
+    fn new(parts: &'a [Bytes]) -> Self {
+        R { parts, i: 0, p: 0 }
+    }
+
+    /// Skip the parts already read to their end.
+    fn settle(&mut self) {
+        while self
+            .parts
+            .get(self.i)
+            .is_some_and(|part| self.p == part.len())
+        {
+            self.i += 1;
+            self.p = 0;
         }
     }
 
-    /// Reader whose byte fields alias `frame`'s backing storage.
-    fn new_shared(frame: &'a Bytes) -> Self {
-        R {
-            d: frame,
-            shared: Some(frame),
-            p: 0,
+    /// The next `n` bytes, as a view when they lie in one part, else
+    /// copied once into a buffer of their own.
+    fn view(&mut self, n: usize) -> DR<Bytes> {
+        self.settle();
+        match self.parts.get(self.i) {
+            Some(part) if part.len() - self.p >= n => {
+                let v = part.slice(self.p..self.p + n);
+                self.p += n;
+                Ok(v)
+            }
+            _ => Ok(Bytes::concat(self.pieces(n)?)),
         }
     }
-    fn take(&mut self, n: usize) -> DR<&'a [u8]> {
-        let end = self.p.checked_add(n).ok_or_else(truncated)?;
-        if end > self.d.len() {
-            return Err(truncated());
+
+    /// The next `n` bytes, borrowed when they lie in one part.
+    fn take(&mut self, n: usize) -> DR<Cow<'a, [u8]>> {
+        self.settle();
+        if let Some(part) = self.parts.get(self.i) {
+            if part.len() - self.p >= n {
+                let s = &part[self.p..self.p + n];
+                self.p += n;
+                return Ok(Cow::Borrowed(s));
+            }
         }
-        let s = &self.d[self.p..end];
-        self.p = end;
-        Ok(s)
+        Ok(Cow::Owned(self.pieces(n)?.concat()))
+    }
+
+    /// The next `n` bytes as the pieces of the parts they lie in. Fails
+    /// before anything is copied when the frame is shorter.
+    fn pieces(&mut self, mut n: usize) -> DR<Vec<&'a [u8]>> {
+        let parts = self.parts;
+        let mut out = Vec::new();
+        while n > 0 {
+            self.settle();
+            let part = parts.get(self.i).ok_or_else(truncated)?;
+            let k = (part.len() - self.p).min(n);
+            out.push(&part[self.p..self.p + k]);
+            self.p += k;
+            n -= k;
+        }
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> DR<[u8; N]> {
+        Ok(self.take(N)?.as_ref().try_into().expect("N bytes"))
     }
     fn u8(&mut self) -> DR<u8> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
     fn u32(&mut self) -> DR<u32> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_be_bytes(self.array()?))
     }
     fn u64(&mut self) -> DR<u64> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(u64::from_be_bytes(self.array()?))
     }
     fn str(&mut self) -> DR<String> {
         let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|e| DbError::Malformed(e.to_string()))
+        let raw = self.take(n)?.into_owned();
+        String::from_utf8(raw).map_err(|e| DbError::Malformed(e.to_string()))
     }
     fn bytes(&mut self) -> DR<Bytes> {
         let n = self.u32()? as usize;
-        let start = self.p;
-        let raw = self.take(n)?;
-        Ok(match self.shared {
-            // Zero-copy: a 200 KB media body decoded off the wire stays a
-            // view into the frame the transport delivered.
-            Some(frame) => frame.slice(start..start + n),
-            None => Bytes::copy_from_slice(raw),
-        })
+        self.view(n)
     }
     fn id(&mut self) -> DR<MhegId> {
         Ok(MhegId::new(self.u32()?, self.u64()?))
     }
-    fn done(&self) -> DR<()> {
-        if self.p == self.d.len() {
+    fn done(&mut self) -> DR<()> {
+        self.settle();
+        if self.i == self.parts.len() {
             Ok(())
         } else {
             Err(DbError::Malformed("trailing bytes".into()))
@@ -418,7 +454,8 @@ fn write_object(w: &mut W, o: &MhegObject) {
 }
 
 fn read_object(r: &mut R<'_>) -> DR<MhegObject> {
-    let raw = r.bytes()?;
+    let n = r.u32()? as usize;
+    let raw = r.take(n)?;
     decode_object(&raw, WireFormat::Tlv).map_err(|e| DbError::Malformed(e.to_string()))
 }
 
@@ -504,18 +541,15 @@ impl Request {
         w.fin()
     }
 
-    /// Decode an enveloped request.
+    /// Decode an enveloped request from one buffer (copied first).
     pub fn decode(data: &[u8]) -> DR<Envelope<Request>> {
-        Self::decode_r(R::new(data))
+        Self::decode_parts(&[Bytes::copy_from_slice(data)])
     }
 
-    /// Decode an enveloped request whose byte fields (media bodies,
-    /// encoded objects) alias the frame instead of being copied.
-    pub fn decode_shared(frame: &Bytes) -> DR<Envelope<Request>> {
-        Self::decode_r(R::new_shared(frame))
-    }
-
-    fn decode_r(mut r: R<'_>) -> DR<Envelope<Request>> {
+    /// Decode an enveloped request from its frame's parts; media bodies
+    /// are views of the parts unless they straddle two.
+    pub fn decode_parts(frame: &[Bytes]) -> DR<Envelope<Request>> {
+        let mut r = R::new(frame);
         let req_id = r.u64()?;
         let trace = r.u64()?;
         let body = match r.u8()? {
@@ -571,7 +605,7 @@ impl Response {
     pub fn encode_with_epoch_traced(&self, req_id: u64, epoch: u64, trace: u64) -> Bytes {
         match self.encode_parts(req_id, epoch, trace) {
             (head, None) => head,
-            (head, Some(body)) => Bytes::from([&head[..], &body[..]].concat()),
+            (head, Some(body)) => Bytes::concat([&head[..], &body[..]]),
         }
     }
 
@@ -655,19 +689,18 @@ impl Response {
         Ok(Self::decode_with_epoch(data)?.0)
     }
 
-    /// Decode an enveloped response along with the server's failover
-    /// epoch.
+    /// Decode an enveloped response from one buffer (copied first), along
+    /// with the server's failover epoch.
     pub fn decode_with_epoch(data: &[u8]) -> DR<(Envelope<Response>, u64)> {
-        Self::decode_with_epoch_r(R::new(data))
+        Self::decode_parts(&[Bytes::copy_from_slice(data)])
     }
 
-    /// Like [`Response::decode_with_epoch`], but byte fields (media
-    /// bodies) alias the frame instead of being copied out of it.
-    pub fn decode_with_epoch_shared(frame: &Bytes) -> DR<(Envelope<Response>, u64)> {
-        Self::decode_with_epoch_r(R::new_shared(frame))
-    }
-
-    fn decode_with_epoch_r(mut r: R<'_>) -> DR<(Envelope<Response>, u64)> {
+    /// Decode an enveloped response from its frame's parts, along with
+    /// the server's failover epoch. A `Content` body that lies in one part
+    /// — on a clean path, the window of the server's stored media that
+    /// [`Response::encode_parts`] sent — comes back as a view of it.
+    pub fn decode_parts(frame: &[Bytes]) -> DR<(Envelope<Response>, u64)> {
+        let mut r = R::new(frame);
         let req_id = r.u64()?;
         let epoch = r.u64()?;
         let trace = r.u64()?;
@@ -829,6 +862,43 @@ mod tests {
         assert_eq!(body.shared_range(), media.data.shared_range());
         assert!(head.len() < 128, "head is {} bytes", head.len());
         assert_eq!(Response::Ack.encode_parts(1, 2, 3).1, None);
+        // Decoded from those parts, the data is the stored media again.
+        let (env, epoch) = Response::decode_parts(&[head.clone(), body.clone()]).unwrap();
+        assert_eq!((env.req_id, epoch, env.trace), (1, 2, 3));
+        let got = env.body.into_content().unwrap();
+        assert!(Arc::ptr_eq(got.data.shared(), media.data.shared()));
+        assert_eq!(got, media);
+    }
+
+    #[test]
+    fn any_cut_of_a_frame_decodes_alike() {
+        let media = sample_media();
+        let req = Request::PutContent {
+            media: media.clone(),
+        };
+        let resps = [
+            Response::Content(media),
+            Response::Objects(vec![sample_object(), sample_object()]),
+            Response::Err(DbError::NotFound("gone".into())),
+        ];
+        for resp in resps {
+            let wire = resp.encode_with_epoch_traced(9, 4, 6);
+            for a in 0..=wire.len() {
+                for b in (a..=wire.len()).step_by(7) {
+                    let cut = [wire.slice(..a), wire.slice(a..b), wire.slice(b..)];
+                    let (env, epoch) = Response::decode_parts(&cut).unwrap();
+                    assert_eq!((env.req_id, epoch, env.trace), (9, 4, 6));
+                    assert_eq!(env.body, resp, "cut at {a}, {b}");
+                }
+                let short = [wire.slice(..a.min(wire.len() - 1)), Bytes::new()];
+                assert!(Response::decode_parts(&short).is_err(), "cut {a}");
+            }
+        }
+        let wire = req.encode_traced(3, 8);
+        for a in 0..=wire.len() {
+            let env = Request::decode_parts(&[wire.slice(..a), wire.slice(a..)]).unwrap();
+            assert_eq!((env.req_id, env.trace, &env.body), (3, 8, &req));
+        }
     }
 
     #[test]
@@ -874,17 +944,21 @@ mod tests {
         );
 
         let wire = Response::Ack.encode_with_epoch_traced(5, 3, 77);
-        assert_eq!(peek_req_id(&wire), Some(5));
-        assert_eq!(peek_response_trace(&wire), Some(77));
+        assert_eq!(peek_req_id(std::slice::from_ref(&wire)), Some(5));
+        assert_eq!(peek_response_trace(std::slice::from_ref(&wire)), Some(77));
         let (env, epoch) = Response::decode_with_epoch(&wire).unwrap();
         assert_eq!((env.req_id, epoch, env.trace), (5, 3, 77));
-        assert_eq!(peek_response_trace(&wire[..20]), None);
+        assert_eq!(peek_response_trace(&[wire.slice(..20)]), None);
+        // The envelope may straddle parts.
+        let cut = [wire.slice(..3), wire.slice(3..19), wire.slice(19..)];
+        assert_eq!(peek_req_id(&cut), Some(5));
+        assert_eq!(peek_response_trace(&cut), Some(77));
     }
 
     #[test]
     fn epoch_rides_after_the_correlation_id() {
         let wire = Response::Ack.encode_with_epoch(7, 42);
-        assert_eq!(peek_req_id(&wire), Some(7));
+        assert_eq!(peek_req_id(std::slice::from_ref(&wire)), Some(7));
         let (env, epoch) = Response::decode_with_epoch(&wire).unwrap();
         assert_eq!((env.req_id, epoch), (7, 42));
         assert_eq!(env.body, Response::Ack);

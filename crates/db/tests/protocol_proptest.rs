@@ -233,8 +233,8 @@ proptest! {
     // that only works if every frame really leads with its req_id.
     #[test]
     fn peeked_id_matches_decoded_id(resp in arb_response(), req in arb_request(), req_id in any::<u64>()) {
-        prop_assert_eq!(peek_req_id(&resp.encode(req_id)), Some(req_id));
-        prop_assert_eq!(peek_req_id(&req.encode(req_id)), Some(req_id));
+        prop_assert_eq!(peek_req_id(&[resp.encode(req_id)]), Some(req_id));
+        prop_assert_eq!(peek_req_id(&[req.encode(req_id)]), Some(req_id));
     }
 
     // A corrupted body must never decode into a *different* correlation
@@ -249,7 +249,7 @@ proptest! {
             if let Ok(env) = Response::decode(&bent) {
                 prop_assert_eq!(env.req_id, 77);
             }
-            prop_assert_eq!(peek_req_id(&bent), Some(77));
+            prop_assert_eq!(peek_req_id(&[Bytes::from(bent)]), Some(77));
         }
     }
 }

@@ -52,11 +52,12 @@ impl fmt::Display for VideoDims {
     }
 }
 
-/// 64-bit end-to-end checksum — integrity check for content that crossed
-/// the simulated network (the AAL5 layer has its own CRC; this is
-/// end-to-end). The value is only ever compared against a checksum
-/// produced by this same function, so the construction is free to favour
-/// speed: four independent multiply-mix lanes each consume one 64-bit
+/// 64-bit content fingerprint of a media payload ([`MediaObject::checksum`]).
+/// The wire carries no checksum — the AAL5 CRC already guards every PDU
+/// — so nothing computes it on the fetch path; it exists to compare
+/// payloads. The value is only ever compared against a checksum produced
+/// by this same function, so the construction is free to favour speed:
+/// four independent multiply-mix lanes each consume one 64-bit
 /// word per round (the byte-at-a-time FNV-1a this replaces serialised a
 /// multiply behind every single byte), the tail runs plain FNV-1a, and a
 /// murmur-style finalizer folds in the length and avalanches the result
@@ -109,12 +110,10 @@ pub struct MediaObject {
     pub dims: VideoDims,
     /// The (synthetic) coded payload.
     pub data: Bytes,
-    /// End-to-end checksum of `data`.
-    pub checksum: u64,
 }
 
 impl MediaObject {
-    /// Build an object, computing the checksum.
+    /// Build an object. `data` is kept as given (a view, not a copy).
     pub fn new(
         id: MediaId,
         name: impl Into<String>,
@@ -123,7 +122,6 @@ impl MediaObject {
         dims: VideoDims,
         data: Bytes,
     ) -> Self {
-        let checksum = checksum64(&data);
         MediaObject {
             id,
             name: name.into(),
@@ -131,7 +129,6 @@ impl MediaObject {
             duration,
             dims,
             data,
-            checksum,
         }
     }
 
@@ -151,9 +148,9 @@ impl MediaObject {
         (secs > 0.0).then(|| self.data.len() as f64 * 8.0 / secs)
     }
 
-    /// Verify the payload against the stored checksum.
-    pub fn verify(&self) -> bool {
-        checksum64(&self.data) == self.checksum
+    /// Fingerprint of the payload ([`checksum64`]), computed on demand.
+    pub fn checksum(&self) -> u64 {
+        checksum64(&self.data)
     }
 
     /// Summary line for catalogues and logs.
@@ -191,12 +188,15 @@ mod tests {
 
     #[test]
     fn checksum_detects_corruption() {
-        let mut m = sample();
-        assert!(m.verify());
-        let mut corrupted = m.data.to_vec();
-        corrupted[2] ^= 0xFF;
-        m.data = Bytes::from(corrupted);
-        assert!(!m.verify());
+        let m = sample();
+        let mut flipped = m.data.to_vec();
+        flipped[2] ^= 0xFF;
+        let corrupted = MediaObject {
+            data: Bytes::from(flipped),
+            ..m.clone()
+        };
+        assert_ne!(corrupted.checksum(), m.checksum());
+        assert_eq!(m.clone().checksum(), m.checksum());
     }
 
     #[test]

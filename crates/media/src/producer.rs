@@ -187,7 +187,6 @@ mod tests {
             SimDuration::from_secs(3),
         ));
         assert_eq!(a.size_bytes() as u64, 3 * WAV_BYTES_PER_SEC);
-        assert!(a.verify());
     }
 
     #[test]

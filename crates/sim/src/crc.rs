@@ -7,7 +7,9 @@
 //! implementations: a slice-by-16 table walk as the portable baseline, a
 //! carryless-multiply fold on x86_64 (PCLMULQDQ), and the dedicated CRC
 //! instructions on aarch64 — both detected at runtime and self-checked
-//! against the table path before being trusted.
+//! against the table path before being trusted. [`crc32_update`]
+//! continues a CRC across buffers, so a PDU held as several parts is
+//! checked without first being copied into one.
 
 /// CRC-32, dispatching to the fastest implementation the host supports:
 /// PCLMULQDQ folding on x86_64, the CRC instructions on aarch64,
@@ -16,12 +18,25 @@
 /// use; a failed self-check (wrong microcode, exotic core) permanently
 /// falls back to the tables, so the answer is always the IEEE CRC.
 pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(0xFFFF_FFFF, data)
+}
+
+/// Continue a CRC-32 over `data` from the raw (pre-inverted) state
+/// `crc`, on the same dispatched implementation as [`crc32`]. Start from
+/// `0xFFFF_FFFF` and invert at the end: for any split of a message into
+/// `a` then `b`, `crc32(ab) == !crc32_update(crc32_update(!0, a), b)`.
+#[allow(unsafe_code)] // calls the hardware paths the dispatcher detected
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     match crc_impl() {
+        // SAFETY: the dispatcher picks this path only after detecting
+        // pclmulqdq and sse4.1.
         #[cfg(target_arch = "x86_64")]
-        CrcImpl::Pclmul => crc32_pclmul(data),
+        CrcImpl::Pclmul => unsafe { pclmul_update(crc, data) },
+        // SAFETY: the dispatcher picks this path only after detecting
+        // the `crc` feature.
         #[cfg(target_arch = "aarch64")]
-        CrcImpl::HwCrc => crc32_hwcrc(data),
-        CrcImpl::Slice16 => crc32_slice16(data),
+        CrcImpl::HwCrc => unsafe { crc32_hwcrc_inner(crc, data) },
+        CrcImpl::Slice16 => crc32_slice16_update(crc, data),
     }
 }
 
@@ -32,7 +47,9 @@ pub fn crc32_slice16(data: &[u8]) -> u32 {
 }
 
 /// Slice-by-16 continuation on a raw (pre-inverted) CRC state — lets the
-/// SIMD path hand its sub-16-byte tail over without re-finalizing.
+/// SIMD path hand its sub-16-byte tail over without re-finalizing. A
+/// ragged tail takes one 8-byte and one 4-byte step through the same
+/// tables before the byte loop, so at most 3 bytes go one at a time.
 fn crc32_slice16_update(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut chunks = data.chunks_exact(16);
@@ -58,7 +75,29 @@ fn crc32_slice16_update(mut crc: u32, data: &[u8]) -> u32 {
             ^ t[1][((e >> 16) & 0xFF) as usize]
             ^ t[0][(e >> 24) as usize];
     }
-    for &b in chunks.remainder() {
+    let mut tail = chunks.remainder();
+    if let Some((c, rest)) = tail.split_first_chunk::<8>() {
+        let a = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let b = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(a & 0xFF) as usize]
+            ^ t[6][((a >> 8) & 0xFF) as usize]
+            ^ t[5][((a >> 16) & 0xFF) as usize]
+            ^ t[4][(a >> 24) as usize]
+            ^ t[3][(b & 0xFF) as usize]
+            ^ t[2][((b >> 8) & 0xFF) as usize]
+            ^ t[1][((b >> 16) & 0xFF) as usize]
+            ^ t[0][(b >> 24) as usize];
+        tail = rest;
+    }
+    if let Some((c, rest)) = tail.split_first_chunk::<4>() {
+        let a = u32::from_le_bytes(*c) ^ crc;
+        crc = t[3][(a & 0xFF) as usize]
+            ^ t[2][((a >> 8) & 0xFF) as usize]
+            ^ t[1][((a >> 16) & 0xFF) as usize]
+            ^ t[0][(a >> 24) as usize];
+        tail = rest;
+    }
+    for &b in tail {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
@@ -159,17 +198,33 @@ pub fn crc32_is_hw_accelerated() -> bool {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // std::arch intrinsics; guarded by runtime detection
 pub fn crc32_pclmul(data: &[u8]) -> u32 {
-    if data.len() < 64
-        || !std::arch::is_x86_feature_detected!("pclmulqdq")
+    if !std::arch::is_x86_feature_detected!("pclmulqdq")
         || !std::arch::is_x86_feature_detected!("sse4.1")
     {
         return crc32_slice16(data);
     }
+    // SAFETY: pclmulqdq and sse4.1 presence checked just above.
+    !unsafe { pclmul_update(0xFFFF_FFFF, data) }
+}
+
+/// PCLMULQDQ continuation on a raw CRC state: the 16-byte-aligned
+/// prefix of an input of 64 bytes or more is folded, everything else
+/// runs through the tables.
+///
+/// # Safety
+///
+/// The host must support `pclmulqdq` and `sse4.1`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // std::arch intrinsics; guarded by runtime detection
+unsafe fn pclmul_update(crc: u32, data: &[u8]) -> u32 {
+    if data.len() < 64 {
+        return crc32_slice16_update(crc, data);
+    }
     let split = data.len() & !15;
-    // SAFETY: pclmulqdq and sse4.1 presence checked just above; `split`
-    // is ≥ 64 and a multiple of 16.
-    let crc = unsafe { crc32_fold_pclmul(0xFFFF_FFFF, &data[..split]) };
-    !crc32_slice16_update(crc, &data[split..])
+    // SAFETY: the caller guarantees pclmulqdq and sse4.1; `split` is
+    // ≥ 64 and a multiple of 16.
+    let crc = unsafe { crc32_fold_pclmul(crc, &data[..split]) };
+    crc32_slice16_update(crc, &data[split..])
 }
 
 /// The 128-bit carryless-multiply fold (reflected CRC-32, IEEE poly).
@@ -266,18 +321,19 @@ pub fn crc32_hwcrc(data: &[u8]) -> u32 {
         return crc32_slice16(data);
     }
     // SAFETY: the `crc` feature was just detected.
-    unsafe { crc32_hwcrc_inner(data) }
+    !unsafe { crc32_hwcrc_inner(0xFFFF_FFFF, data) }
 }
 
+/// CRC-instruction continuation on a raw CRC state.
+///
 /// # Safety
 ///
 /// The host must support the aarch64 `crc` feature.
 #[cfg(target_arch = "aarch64")]
 #[allow(unsafe_code)] // std::arch intrinsics; guarded by runtime detection
 #[target_feature(enable = "crc")]
-unsafe fn crc32_hwcrc_inner(data: &[u8]) -> u32 {
+unsafe fn crc32_hwcrc_inner(mut crc: u32, data: &[u8]) -> u32 {
     use core::arch::aarch64::{__crc32b, __crc32d};
-    let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         crc = __crc32d(crc, u64::from_le_bytes(c.try_into().expect("8 bytes")));
@@ -285,7 +341,7 @@ unsafe fn crc32_hwcrc_inner(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = __crc32b(crc, b);
     }
-    !crc
+    crc
 }
 
 #[cfg(test)]
@@ -298,6 +354,22 @@ mod tests {
         for crc in [crc32, crc32_slice16] {
             assert_eq!(crc(b"123456789"), 0xCBF4_3926);
             assert_eq!(crc(b""), 0);
+        }
+    }
+
+    #[test]
+    fn update_continues_across_any_split() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 151 % 256) as u8).collect();
+        for n in [0usize, 1, 3, 4, 7, 8, 12, 15, 16, 63, 64, 65, 130, 300] {
+            let whole = crc32(&data[..n]);
+            for cut in [0, 1.min(n), n / 3, n / 2, n.saturating_sub(5), n] {
+                let head = crc32_update(0xFFFF_FFFF, &data[..cut]);
+                assert_eq!(
+                    !crc32_update(head, &data[cut..n]),
+                    whole,
+                    "len {n} cut {cut}"
+                );
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Campus lifecycle integration tests: the determinism contract of the
 //! memory-bounded runner across thread counts, the bound on sessions
-//! held back by the in-order merge, and retire-under-fault.
+//! held back by the in-order merge, retire-under-fault, and a panicking
+//! session contained to itself.
 //!
 //! The campus digest is the repo's best regression tripwire — it folds
 //! every session's observables in student-index order, so any
@@ -8,7 +9,7 @@
 //! digest mismatch between thread counts.
 
 use bytes::Bytes;
-use mits::core::{Campus, CampusWorkload, ReportSink, SessionReport};
+use mits::core::{Campus, CampusRollup, CampusWorkload, ReportSink, SessionReport, ShardTrace};
 use mits::db::RetryPolicy;
 use mits::media::{MediaFormat, MediaId, MediaObject, VideoDims};
 use mits::mheg::{ClassLibrary, GenericValue};
@@ -197,4 +198,87 @@ fn failed_sessions_change_the_campus_digest() {
     assert_eq!(clean.sessions_failed, 0);
     assert_eq!(faulty.sessions_failed, 1);
     assert_ne!(clean.digest, faulty.digest);
+}
+
+/// Keeps every session's outcome, the rollup's digest, and where the
+/// failed sessions' time landed.
+#[derive(Default)]
+struct Outcomes {
+    sessions: Vec<(usize, bool, Option<String>, u64)>,
+    digest: u64,
+    failed: u64,
+    /// Session-time samples past the histogram's range.
+    slow_samples: u64,
+    /// Shortest duration (µs) among the timeline windows a failed
+    /// session retired in.
+    failed_dur_us: Option<u64>,
+}
+
+impl ReportSink for Outcomes {
+    fn session(&mut self, r: &SessionReport) {
+        self.sessions
+            .push((r.student, r.failed, r.error.clone(), r.digest));
+    }
+
+    fn trace(&mut self, _trace: &ShardTrace) {}
+
+    fn rollup(&mut self, rollup: &CampusRollup) {
+        self.digest = rollup.digest;
+        self.failed = rollup.sessions_failed;
+        self.slow_samples = rollup
+            .metrics
+            .histogram("campus.session_secs")
+            .map_or(0, |h| h.overflow());
+        self.failed_dur_us = rollup
+            .timeline
+            .iter()
+            .filter(|(_, w)| w.sessions_failed > 0)
+            .map(|(_, w)| w.dur_max_us)
+            .min();
+    }
+}
+
+/// A panic in one session — here in the configure hook, which runs
+/// inside the session boundary — retires that session as failed and
+/// nothing else: the campus completes, every other student is clean,
+/// the failure names the panic, and the digest is the same on 1 and 2
+/// threads. The next session on the same worker starts fresh. Its time
+/// sample and timeline retirement land in the slow tail, not at zero.
+#[test]
+fn panicking_session_fails_alone() {
+    let w = workload(1, 2048);
+    let run = |threads: usize| {
+        let mut out = Outcomes::default();
+        Campus::new(12, 5)
+            .threads(threads)
+            .workload(w.clone())
+            .configure_sessions(|spec, config| {
+                assert!(spec.student != 7, "hook refuses student 7");
+                config
+            })
+            .run_with(&mut out)
+            .expect("a panicking session must not take the campus down");
+        out
+    };
+    let one = run(1);
+    assert_eq!(one.sessions.len(), 12);
+    assert_eq!(one.failed, 1);
+    for (student, failed, error, _) in &one.sessions {
+        assert_eq!(*failed, *student == 7, "student {student}");
+        if *student == 7 {
+            let error = error.as_deref().unwrap_or_default();
+            assert!(error.contains("hook refuses student 7"), "{error}");
+        }
+    }
+    assert_eq!(one.slow_samples, 1, "the panicked session is the slow tail");
+    assert!(
+        one.failed_dur_us >= Some(60_000_000),
+        "{:?}",
+        one.failed_dur_us
+    );
+    let two = run(2);
+    assert_eq!(one.digest, two.digest, "threads must not change the digest");
+    assert_eq!(one.sessions, two.sessions);
+    let clean = Campus::new(12, 5).threads(1).workload(w).run().unwrap();
+    assert_ne!(clean.digest, one.digest, "the failure reaches the digest");
 }
