@@ -253,8 +253,7 @@ pub fn reassemble(cells: &[AtmCell]) -> Result<Bytes, Aal5Error> {
     }) {
         let (base, _) = cells[0].payload.shared_range();
         let arc = Arc::clone(cells[0].payload.shared());
-        let length = validated_length(&arc[base..base + total])?;
-        return Ok(Bytes::from_shared_range(arc, base, base + length));
+        return reassemble_flat(Bytes::from_shared_range(arc, base, base + total));
     }
     // Slow path: stitch the payloads together, then validate the copy.
     let mut buf = Vec::with_capacity(total);
@@ -264,6 +263,15 @@ pub fn reassemble(cells: &[AtmCell]) -> Result<Bytes, Aal5Error> {
     let length = validated_length(&buf)?;
     buf.truncate(length);
     Ok(Bytes::from(buf))
+}
+
+/// Reassemble a run of cells held as one buffer — their 48-byte
+/// payloads back to back, the trailer last, as [`RunImage::flatten`]
+/// lays them out — with the CRC and length check a receiver of the cells
+/// makes. The PDU is returned as a view of that buffer.
+pub(crate) fn reassemble_flat(run: Bytes) -> Result<Bytes, Aal5Error> {
+    let length = validated_length(&run)?;
+    Ok(run.slice(..length))
 }
 
 /// Reassemble straight from a run image, as the cell-train fast path

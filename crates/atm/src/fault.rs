@@ -90,9 +90,11 @@ impl LinkFaults {
 
     /// True when the only faults here are down windows — the one fault
     /// kind whose outcome is a pure function of the clock, so cell
-    /// trains may use the link. RNG-coupled faults (extra loss, bursts,
-    /// jitter) consume the fault RNG per cell, so batched scheduling
-    /// could not reproduce their draw order there.
+    /// trains may be served on the link as whole runs. RNG-coupled
+    /// faults (extra loss, bursts, jitter) consume the fault RNG per
+    /// cell, so a train crossing such a link streams through it cell by
+    /// cell, one `TxDone` and one set of draws per cell, in the per-cell
+    /// scheduler's order.
     pub fn is_down_only(&self) -> bool {
         self.extra_loss == 0.0 && self.burst.is_none() && self.jitter.is_none_or(|j| j.is_zero())
     }

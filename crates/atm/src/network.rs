@@ -9,16 +9,17 @@
 //! VC — the raw material of experiments E-BB and F3.5.
 
 use crate::aal5;
-use crate::cell::{AtmCell, CELL_BITS};
+use crate::cell::{AtmCell, CELL_PAYLOAD};
 use crate::fault::{FaultPlan, FaultState, FaultStats, LinkFaults};
 use crate::link::{LinkProfile, LinkTelemetry, Policer, ServeKind, ServiceClass, TrafficContract};
 use bytes::{Bytes, PartList};
 use mits_sim::{
-    ChanceThreshold, DelayMoments, MetricsRegistry, OnlineStats, RatioCounter, SimDuration, SimRng,
-    SimTime, TimeWeighted,
+    ChanceThreshold, DelayMoments, MetricsRegistry, OnlineStats, SimDuration, SimRng, SimTime,
+    TimeWeighted,
 };
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// A node (host or switch) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -152,6 +153,20 @@ struct LinkState {
     /// observational — no RNG draws, no events — so it cannot perturb
     /// the digest.
     telemetry: LinkTelemetry,
+    /// The cell the transmitter is serializing on its own; its `TxDone`
+    /// is pending.
+    serving: Option<Flying>,
+    /// Cells propagating toward `to`, in arrival order. Cells leave a
+    /// link in serialization order and jitter is clamped so it never
+    /// reorders them, so arrivals append in key order and one heap
+    /// timer, the head's, stands for the whole queue.
+    flight: VecDeque<InFlight>,
+    /// A train streaming across this hop: its cells serialize as they
+    /// arrive, without queueing (see [`AtmNetwork::try_stream`]).
+    stream: Option<Expansion>,
+    /// The stream whose head arrived as `stream`'s last cell finishes;
+    /// it takes the transmitter next.
+    next_stream: Option<Expansion>,
 }
 
 #[derive(Clone)]
@@ -159,6 +174,18 @@ struct Flying {
     cell: AtmCell,
     born: SimTime,
     send_call: SimTime,
+}
+
+/// A cell propagating on a link, keyed by its arrival instant and the
+/// timer sequence number it was scheduled under.
+struct InFlight {
+    at: SimTime,
+    seq: u64,
+    /// Whether a heap timer stands for this entry. The head always has
+    /// one; an entry that was head before an earlier arrival was put in
+    /// front of it keeps its own.
+    armed: bool,
+    flying: Flying,
 }
 
 /// Minimum run length worth batching: below this the train's own events
@@ -200,6 +227,47 @@ impl Train {
     }
 }
 
+/// A train's cells reaching a switch one by one behind its head. Cell
+/// k ≥ 1 arrives at `head_at + k·spacing` under timer sequence number
+/// `seq_base + k − 1`: the block was reserved when the head arrived,
+/// where the per-cell arrival timers of the whole run used to be
+/// allocated, so every arrival keeps its tie-break against every other
+/// event. An expansion either runs on the heap, one
+/// [`TimerKind::Expand`] timer standing for its next arrival, or
+/// streams across its egress hop, whose transmitter then takes each
+/// cell the instant it arrives.
+struct Expansion {
+    train: Train,
+    /// The run flattened once: cells are windows of it.
+    flat: Bytes,
+    /// The link the cells arrive on.
+    link: LinkId,
+    seq_base: u64,
+    /// The next cell to arrive (on the heap) or to start serializing
+    /// (streaming; cell 0 is the head).
+    next: usize,
+}
+
+impl Expansion {
+    fn ncells(&self) -> usize {
+        self.train.run.ncells
+    }
+
+    /// Arrival instant and sequence number of cell `k ≥ 1`.
+    fn key(&self, k: usize) -> (SimTime, u64) {
+        let at = self.train.head_at
+            + SimDuration::from_micros(self.train.spacing.as_micros() * k as u64);
+        (at, self.seq_base + k as u64 - 1)
+    }
+
+    /// Take cell `next` and move past it.
+    fn take_next(&mut self) -> Flying {
+        let f = self.train.flying(&self.flat, self.next);
+        self.next += 1;
+        f
+    }
+}
+
 /// One queued transmission: a single cell or a whole-PDU train.
 enum QueuedTx {
     Cell(Flying),
@@ -207,14 +275,14 @@ enum QueuedTx {
 }
 
 /// A per-class output queue that counts occupancy in *cells* (a train
-/// weighs its full run) so congestion thresholds, tail-drop capacity and
-/// the drop ledger behave exactly like the per-cell `BoundedQueue` did.
+/// weighs its full run) so congestion thresholds and tail-drop capacity
+/// behave exactly like a queue of single cells.
 struct TxQueue {
     items: VecDeque<QueuedTx>,
     len_cells: usize,
     capacity: usize,
-    drops: RatioCounter,
-    high_water: usize,
+    /// Cells tail-dropped.
+    drops: u64,
 }
 
 impl TxQueue {
@@ -223,41 +291,29 @@ impl TxQueue {
             items: VecDeque::new(),
             len_cells: 0,
             capacity,
-            drops: RatioCounter::default(),
-            high_water: 0,
+            drops: 0,
         }
     }
 
     /// Offer one cell; bounces it back (tail drop) when full.
     fn offer_cell(&mut self, f: Flying) -> Option<Flying> {
         if self.len_cells >= self.capacity {
-            self.drops.record(true);
+            self.drops += 1;
             return Some(f);
         }
-        self.drops.record(false);
         self.items.push_back(QueuedTx::Cell(f));
         self.len_cells += 1;
-        self.high_water = self.high_water.max(self.len_cells);
         None
     }
 
     /// Offer a whole train; the caller has already checked the run fits.
     fn offer_train(&mut self, t: Train) {
-        let n = t.run.ncells;
-        debug_assert!(self.len_cells + n <= self.capacity, "train overflows queue");
-        // n accepted arrivals on the ledger, exactly as n cell offers.
-        self.drops.total += n as u64;
-        self.len_cells += n;
-        self.high_water = self.high_water.max(self.len_cells);
+        debug_assert!(
+            self.len_cells + t.run.ncells <= self.capacity,
+            "train overflows queue"
+        );
+        self.len_cells += t.run.ncells;
         self.items.push_back(QueuedTx::Train(t));
-    }
-
-    /// Ledger a run that passed straight through to the transmitter
-    /// without queueing (the per-cell path would have recorded n
-    /// accepted arrivals and briefly held one cell).
-    fn note_passthrough(&mut self, n: usize) {
-        self.drops.total += n as u64;
-        self.high_water = self.high_water.max(1);
     }
 
     fn take(&mut self) -> Option<QueuedTx> {
@@ -311,6 +367,15 @@ pub struct TrainStats {
     /// Runs whose line-noise draw actually hit, shipping survivors
     /// per-cell.
     pub line_loss_fallbacks: u64,
+    /// Trains that streamed across a hop with RNG-coupled faults, each
+    /// cell serializing the instant it arrived, instead of queueing cell
+    /// by cell there (counted in `expanded_fault_window` too). This and
+    /// `stream_splits` stay out of the registry, whose metrics the
+    /// campus rollup pins.
+    pub streamed: u64,
+    /// Streams split back into queued cells by another cell or train
+    /// entering their hop.
+    pub stream_splits: u64,
 }
 
 struct NodeState {
@@ -346,7 +411,7 @@ struct VcState {
     dst: NodeId,
     policer: Option<Policer>,
     next_pdu_seq: u64,
-    rx: Vec<Flying>,
+    rx: Rx,
     /// PDU sequence numbers already declared failed (first cell drop
     /// fails the whole AAL5 PDU; later drops of the same PDU don't
     /// double-count).
@@ -364,12 +429,80 @@ impl VcState {
     }
 }
 
+/// The destination's reassembly buffer for the PDU being received.
+#[derive(Default)]
+enum Rx {
+    #[default]
+    Empty,
+    /// Cells `0..count` of one PDU, in order. Every cell of a PDU is a
+    /// 48-byte window of the one buffer its run was flattened into, the
+    /// previous cell's window followed by the next, so the run is
+    /// counted, not collected, and validated once as that buffer.
+    Run { first: Flying, count: usize },
+    /// A PDU that lost a cell (a gap, or a first cell that is not cell
+    /// 0): it fails when its end cell arrives.
+    Broken { pdu_seq: u64 },
+}
+
+impl Rx {
+    /// The PDU being received, if any.
+    fn pdu_seq(&self) -> Option<u64> {
+        match self {
+            Rx::Empty => None,
+            Rx::Run { first, .. } => Some(first.cell.pdu_seq),
+            Rx::Broken { pdu_seq } => Some(*pdu_seq),
+        }
+    }
+
+    fn push(&mut self, f: Flying) {
+        match self {
+            Rx::Empty if f.cell.cell_index == 0 => *self = Rx::Run { first: f, count: 1 },
+            Rx::Run { first, count } if f.cell.cell_index as usize == *count => {
+                debug_assert!(
+                    Arc::ptr_eq(f.cell.payload.shared(), first.cell.payload.shared())
+                        && f.cell.payload.shared_range().0
+                            == first.cell.payload.shared_range().0 + *count * CELL_PAYLOAD,
+                    "a PDU's cells are consecutive windows of one buffer"
+                );
+                *count += 1;
+            }
+            Rx::Broken { .. } => {}
+            _ => {
+                *self = Rx::Broken {
+                    pdu_seq: f.cell.pdu_seq,
+                }
+            }
+        }
+    }
+
+    /// Reassemble the buffered PDU (its end cell was the last pushed)
+    /// and empty the buffer; returns the first cell's send call with the
+    /// payload.
+    fn finish(&mut self) -> Result<(SimTime, Bytes), aal5::Aal5Error> {
+        match std::mem::take(self) {
+            Rx::Empty => unreachable!("an end cell was just buffered"),
+            Rx::Run { first, count } => {
+                let (base, _) = first.cell.payload.shared_range();
+                let run = Bytes::from_shared_range(
+                    Arc::clone(first.cell.payload.shared()),
+                    base,
+                    base + count * CELL_PAYLOAD,
+                );
+                aal5::reassemble_flat(run).map(|payload| (first.send_call, payload))
+            }
+            Rx::Broken { .. } => Err(aal5::Aal5Error::Incomplete),
+        }
+    }
+}
+
 #[derive(PartialEq, Eq)]
 enum TimerKind {
-    /// Transmitter on `link` finished serializing; carries the cell.
-    TxDone(u32, u32),
-    /// Cell arrives at the far end of `link`.
-    Arrive(u32, u32),
+    /// Transmitter on `link` finished serializing its `serving` cell.
+    TxDone(u32),
+    /// The head of `link`'s `flight` queue arrives at the far end.
+    Arrive(u32),
+    /// The next cell of expansion `id` arrives at its switch.
+    Expand(u32),
     /// Transmitter on `link` finished serializing a whole train; if the
     /// second field is a stashed train id (not `u32::MAX`), the run is
     /// host-bound and its delivery is scheduled from here — the same
@@ -424,15 +557,63 @@ impl PartialOrd for Timer {
     }
 }
 
+/// Objects each claimed by exactly one pending timer, by index.
+struct Slab<T> {
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    fn insert(&mut self, t: T) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                self.items[id as usize] = Some(t);
+                id
+            }
+            None => {
+                self.items.push(Some(t));
+                (self.items.len() - 1) as u32
+            }
+        }
+    }
+
+    fn get_mut(&mut self, id: u32) -> Option<&mut T> {
+        self.items.get_mut(id as usize)?.as_mut()
+    }
+
+    fn take(&mut self, id: u32) -> Option<T> {
+        let t = self.items.get_mut(id as usize)?.take();
+        if t.is_some() {
+            self.free.push(id);
+        }
+        t
+    }
+
+    fn clear(&mut self) {
+        self.items.clear();
+        self.free.clear();
+    }
+}
+
 /// Recycled allocation capacity harvested from a retired [`AtmNetwork`].
 ///
 /// A campus worker retires thousands of short-lived per-student networks;
 /// rebuilding each one from empty `Vec`s re-pays every growth
-/// reallocation of the timer heap, the in-flight cell slab, the delivery
-/// buffer, the VC/route tables, and the topology vectors. `NetScratch`
-/// carries those containers — emptied of contents but keeping their
-/// capacity — from [`AtmNetwork::into_scratch`] into the next
-/// [`AtmNetwork::with_scratch`]. A recycled network is observably
+/// reallocation of the timer heap, the train and expansion slabs, the
+/// links' flight queues, the delivery buffer, the VC/route tables, and
+/// the topology vectors.
+/// `NetScratch` carries those containers — emptied of contents but
+/// keeping their capacity — from [`AtmNetwork::into_scratch`] into the
+/// next [`AtmNetwork::with_scratch`]. A recycled network is observably
 /// identical to a fresh one: every container is cleared, clocks reset,
 /// and the RNG streams are re-seeded in place from the new seed.
 #[derive(Default)]
@@ -442,11 +623,10 @@ pub struct NetScratch {
     link_index: HashMap<(NodeId, NodeId), LinkId>,
     vcs: Vec<VcState>,
     timers: BinaryHeap<Timer>,
-    in_flight: Vec<Option<Flying>>,
-    free_flights: Vec<u32>,
     deliveries: Vec<Delivery>,
-    trains: Vec<Option<Train>>,
-    free_trains: Vec<u32>,
+    trains: Slab<Train>,
+    expansions: Slab<Expansion>,
+    flights: Vec<VecDeque<InFlight>>,
     cell_scratch: Vec<AtmCell>,
 }
 
@@ -460,10 +640,9 @@ pub struct AtmNetwork {
     next_vci: u16,
     timers: BinaryHeap<Timer>,
     timer_seq: u64,
-    /// Slab of cells in flight (serializing or propagating). A slot is
-    /// claimed by exactly one pending timer, so ids never alias.
-    in_flight: Vec<Option<Flying>>,
-    free_flights: Vec<u32>,
+    /// Sequence number of the timer being handled (`u64::MAX` between
+    /// events): a stream split compares its cells' arrivals against it.
+    cur_seq: u64,
     now: SimTime,
     rng: SimRng,
     deliveries: Vec<Delivery>,
@@ -473,14 +652,18 @@ pub struct AtmNetwork {
     /// bit-identical to a network without fault injection.
     fault_rng: SimRng,
     fault_stats: FaultStats,
-    /// Slab of trains in flight, claimed by exactly one pending timer.
-    trains: Vec<Option<Train>>,
-    free_trains: Vec<u32>,
+    /// Trains in flight, each claimed by exactly one pending timer.
+    trains: Slab<Train>,
+    /// Expansions on the heap, each claimed by its `Expand` timer.
+    expansions: Slab<Expansion>,
+    /// Emptied flight queues of a retired network, for links connected
+    /// here.
+    flights: Vec<VecDeque<InFlight>>,
     /// Debug switch: disable the train fast path entirely (the
     /// equivalence witness for the batched scheduler).
     per_cell_only: bool,
     train_stats: TrainStats,
-    /// Reusable cell buffer for per-cell fallback segmentation.
+    /// Reusable cell buffer for per-cell segmentation.
     cell_scratch: Vec<AtmCell>,
 }
 
@@ -502,8 +685,7 @@ impl AtmNetwork {
             next_vci: 1,
             timers: scratch.timers,
             timer_seq: 0,
-            in_flight: scratch.in_flight,
-            free_flights: scratch.free_flights,
+            cur_seq: u64::MAX,
             now: SimTime::ZERO,
             rng: SimRng::seed_from_u64(seed ^ 0xA7A7_17D0),
             deliveries: scratch.deliveries,
@@ -511,7 +693,8 @@ impl AtmNetwork {
             fault_rng: SimRng::seed_from_u64(seed ^ 0xFA17_0BAD),
             fault_stats: FaultStats::default(),
             trains: scratch.trains,
-            free_trains: scratch.free_trains,
+            expansions: scratch.expansions,
+            flights: scratch.flights,
             per_cell_only: false,
             train_stats: TrainStats::default(),
             cell_scratch: scratch.cell_scratch,
@@ -528,24 +711,24 @@ impl AtmNetwork {
             mut link_index,
             mut vcs,
             mut timers,
-            mut in_flight,
-            mut free_flights,
             mut deliveries,
             mut trains,
-            mut free_trains,
+            mut expansions,
+            mut flights,
             mut cell_scratch,
             ..
         } = self;
         nodes.clear();
-        links.clear();
+        flights.extend(links.drain(..).map(|l| l.flight).map(|mut f| {
+            f.clear();
+            f
+        }));
         link_index.clear();
         vcs.clear();
         timers.clear();
-        in_flight.clear();
-        free_flights.clear();
         deliveries.clear();
         trains.clear();
-        free_trains.clear();
+        expansions.clear();
         cell_scratch.clear();
         NetScratch {
             nodes,
@@ -553,11 +736,10 @@ impl AtmNetwork {
             link_index,
             vcs,
             timers,
-            in_flight,
-            free_flights,
             deliveries,
             trains,
-            free_trains,
+            expansions,
+            flights,
             cell_scratch,
         }
     }
@@ -568,9 +750,10 @@ impl AtmNetwork {
     /// Cell trains stay engaged on every link whose faults are absent or
     /// down windows only. A link with RNG-coupled faults (extra loss,
     /// bursts, jitter) draws the shared fault RNG once per cell, which a
-    /// train cannot reproduce in order, so no train forms on, cuts
-    /// through to or parks at such a link: a train reaching one expands
-    /// into cells there, and its cells draw exactly as the per-cell
+    /// whole-run serve cannot reproduce in order, so no train forms on,
+    /// cuts through to or parks at such a link: a train reaching one
+    /// streams across it (or expands into queued cells when the hop is
+    /// contended), and its cells draw exactly as the per-cell
     /// scheduler's would.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = plan;
@@ -654,6 +837,10 @@ impl AtmNetwork {
                 fault_state: FaultState::default(),
                 top_priority: usize::MAX,
                 telemetry: LinkTelemetry::default(),
+                serving: None,
+                flight: self.flights.pop().unwrap_or_default(),
+                stream: None,
+                next_stream: None,
             });
             self.link_index.insert((from, to), id);
         }
@@ -700,7 +887,7 @@ impl AtmNetwork {
             dst: *path.last().expect("non-empty"),
             policer: contract.map(Policer::new),
             next_pdu_seq: 0,
-            rx: Vec::new(),
+            rx: Rx::Empty,
             failed_pdus: std::collections::HashSet::new(),
             stats: VcStats::default(),
         });
@@ -798,22 +985,10 @@ impl AtmNetwork {
     /// interval.
     pub fn advance(&mut self, to: SimTime) -> Vec<Delivery> {
         assert!(to >= self.now, "network clock cannot go backwards");
-        while let Some(t) = self.timers.peek() {
-            if t.at > to {
-                break;
-            }
-            let timer = self.timers.pop().expect("peeked");
-            self.now = timer.at;
-            match timer.kind {
-                TimerKind::TxDone(link, flight) => self.tx_done(LinkId(link), flight),
-                TimerKind::Arrive(link, flight) => self.arrive(LinkId(link), flight),
-                TimerKind::TrainTxDone(link, tid) => self.train_tx_done(LinkId(link), tid),
-                TimerKind::TrainWind(link, tid) => self.train_wind(LinkId(link), tid),
-                TimerKind::TrainHeadWind(link, tid) => self.train_head_wind(LinkId(link), tid),
-                TimerKind::TrainHead(link, tid) => self.train_head(LinkId(link), tid),
-                TimerKind::TrainDeliver(link, tid) => self.train_deliver(LinkId(link), tid),
-            }
+        while self.timers.peek().is_some_and(|t| t.at <= to) {
+            self.fire_next();
         }
+        self.cur_seq = u64::MAX;
         self.now = to;
         std::mem::take(&mut self.deliveries)
     }
@@ -834,25 +1009,32 @@ impl AtmNetwork {
             }
             if !self.deliveries.is_empty() && t.at > self.now {
                 // Deliveries landed at `now`; later events keep.
-                out.append(&mut self.deliveries);
-                return;
+                break;
             }
-            let timer = self.timers.pop().expect("peeked");
-            self.now = timer.at;
-            match timer.kind {
-                TimerKind::TxDone(link, flight) => self.tx_done(LinkId(link), flight),
-                TimerKind::Arrive(link, flight) => self.arrive(LinkId(link), flight),
-                TimerKind::TrainTxDone(link, tid) => self.train_tx_done(LinkId(link), tid),
-                TimerKind::TrainWind(link, tid) => self.train_wind(LinkId(link), tid),
-                TimerKind::TrainHeadWind(link, tid) => self.train_head_wind(LinkId(link), tid),
-                TimerKind::TrainHead(link, tid) => self.train_head(LinkId(link), tid),
-                TimerKind::TrainDeliver(link, tid) => self.train_deliver(LinkId(link), tid),
-            }
+            self.fire_next();
         }
+        self.cur_seq = u64::MAX;
         if self.deliveries.is_empty() {
             self.now = to;
         }
         out.append(&mut self.deliveries);
+    }
+
+    /// Pop the earliest timer and handle it.
+    fn fire_next(&mut self) {
+        let timer = self.timers.pop().expect("a pending timer");
+        self.now = timer.at;
+        self.cur_seq = timer.seq;
+        match timer.kind {
+            TimerKind::TxDone(link) => self.tx_done(LinkId(link)),
+            TimerKind::Arrive(link) => self.arrive(LinkId(link)),
+            TimerKind::Expand(id) => self.expand(id),
+            TimerKind::TrainTxDone(link, tid) => self.train_tx_done(LinkId(link), tid),
+            TimerKind::TrainWind(link, tid) => self.train_wind(LinkId(link), tid),
+            TimerKind::TrainHeadWind(link, tid) => self.train_head_wind(LinkId(link), tid),
+            TimerKind::TrainHead(link, tid) => self.train_head(LinkId(link), tid),
+            TimerKind::TrainDeliver(link, tid) => self.train_deliver(LinkId(link), tid),
+        }
     }
 
     /// True when no cells are queued or in flight.
@@ -909,7 +1091,7 @@ impl AtmNetwork {
             self.links[id.0 as usize]
                 .queues
                 .iter()
-                .map(|q| q.drops.hits)
+                .map(|q| q.drops)
                 .sum(),
         )
     }
@@ -943,7 +1125,7 @@ impl AtmNetwork {
             );
             reg.counter_set(
                 &format!("{p}.drops"),
-                link.queues.iter().map(|q| q.drops.hits).sum(),
+                link.queues.iter().map(|q| q.drops).sum(),
             );
             reg.counter_set(&format!("{p}.cells_trained"), link.telemetry.total_trained);
             reg.counter_set(
@@ -1119,28 +1301,36 @@ impl AtmNetwork {
         self.timers.push(Timer { at, seq, kind });
     }
 
-    fn stash(&mut self, f: Flying) -> u32 {
-        match self.free_flights.pop() {
-            Some(id) => {
-                self.in_flight[id as usize] = Some(f);
-                id
-            }
-            None => {
-                self.in_flight.push(Some(f));
-                (self.in_flight.len() - 1) as u32
-            }
-        }
+    /// Schedule under a sequence number reserved earlier.
+    fn schedule_keyed(&mut self, (at, seq): (SimTime, u64), kind: TimerKind) {
+        self.timers.push(Timer { at, seq, kind });
     }
 
-    fn unstash(&mut self, id: u32) -> Option<Flying> {
-        let f = self.in_flight.get_mut(id as usize)?.take();
-        if f.is_some() {
-            self.free_flights.push(id);
+    /// Put a cell in flight on `link_id`, arriving at `at`. It is
+    /// appended in key order (in practice always at the back) and armed
+    /// with a heap timer when it lands at the head.
+    fn push_arrival(&mut self, link_id: LinkId, at: SimTime, flying: Flying) {
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        let flight = &mut self.links[link_id.0 as usize].flight;
+        let pos = flight.iter().rposition(|f| f.at <= at).map_or(0, |i| i + 1);
+        let armed = pos == 0;
+        flight.insert(
+            pos,
+            InFlight {
+                at,
+                seq,
+                armed,
+                flying,
+            },
+        );
+        if armed {
+            self.schedule_keyed((at, seq), TimerKind::Arrive(link_id.0));
         }
-        f
     }
 
     fn enqueue_cell(&mut self, link_id: LinkId, class: ServiceClass, flying: Flying) {
+        self.split_streams(link_id);
         let vc = VcId(flying.cell.vci);
         let link = &mut self.links[link_id.0 as usize];
         let queue = &mut link.queues[class.priority()];
@@ -1198,23 +1388,28 @@ impl AtmNetwork {
                 continue;
             }
             match link.queues[qi].take() {
-                Some(QueuedTx::Cell(flying)) => {
-                    link.busy = true;
-                    link.utilization.set(now, 1);
-                    let cell_time =
-                        mits_sim::SimDuration::for_bits(CELL_BITS, link.profile.rate_bps);
-                    let queued = link.queues.iter().map(|q| q.len_cells as u64).sum();
-                    let faulted = link.faults.as_ref().is_some_and(|f| f.is_down(now));
-                    link.telemetry
-                        .note(now, ServeKind::PerCell, 1, queued, cell_time, faulted);
-                    let flight = self.stash(flying);
-                    self.schedule(now + cell_time, TimerKind::TxDone(link_id.0, flight));
-                }
+                Some(QueuedTx::Cell(flying)) => self.serve_cell(link_id, flying),
                 Some(QueuedTx::Train(t)) => self.serve_train(link_id, t),
                 None => unreachable!("queue was non-empty"),
             }
             return;
         }
+    }
+
+    /// Begin serializing one cell on its own: its `TxDone` fires one
+    /// cell time from now.
+    fn serve_cell(&mut self, link_id: LinkId, flying: Flying) {
+        let now = self.now;
+        let link = &mut self.links[link_id.0 as usize];
+        link.busy = true;
+        link.utilization.set(now, 1);
+        let cell_time = link.profile.cell_time();
+        let queued = link.queues.iter().map(|q| q.len_cells as u64).sum();
+        let faulted = link.faults.as_ref().is_some_and(|f| f.is_down(now));
+        link.telemetry
+            .note(now, ServeKind::PerCell, 1, queued, cell_time, faulted);
+        link.serving = Some(flying);
+        self.schedule(now + cell_time, TimerKind::TxDone(link_id.0));
     }
 
     /// Expand a train back into per-cell queue entries at the front of
@@ -1226,10 +1421,11 @@ impl AtmNetwork {
         }
     }
 
-    /// Whether cell trains may use this link at all: its faults, if
-    /// any, are down windows only, a pure function of the clock. Loss,
-    /// bursts and jitter draw the shared fault RNG per cell, in an order
-    /// only the per-cell scheduler reproduces.
+    /// Whether cell trains may be served on this link as whole runs: its
+    /// faults, if any, are down windows only, a pure function of the
+    /// clock. Loss, bursts and jitter draw the shared fault RNG per cell
+    /// at each cell's `TxDone`, so a train crosses such a link as a
+    /// stream of cells (see [`Self::try_stream`]).
     fn trains_allowed(link: &LinkState) -> bool {
         link.faults.as_ref().is_none_or(LinkFaults::is_down_only)
     }
@@ -1253,27 +1449,6 @@ impl AtmNetwork {
                 .any(|&(from, until)| from <= last && until > first)
     }
 
-    fn stash_train(&mut self, t: Train) -> u32 {
-        match self.free_trains.pop() {
-            Some(id) => {
-                self.trains[id as usize] = Some(t);
-                id
-            }
-            None => {
-                self.trains.push(Some(t));
-                (self.trains.len() - 1) as u32
-            }
-        }
-    }
-
-    fn unstash_train(&mut self, id: u32) -> Option<Train> {
-        let t = self.trains.get_mut(id as usize)?.take();
-        if t.is_some() {
-            self.free_trains.push(id);
-        }
-        t
-    }
-
     /// Serialize a whole run analytically: one `TrainTxDone` for the
     /// transmitter plus one arrival event at the far end, instead of
     /// `2n` per-cell events. The bookkeeping for the n back-to-back
@@ -1290,7 +1465,7 @@ impl AtmNetwork {
         let n = train.run.ncells;
         let link = &mut self.links[link_id.0 as usize];
         link.busy = true;
-        let ct = mits_sim::SimDuration::for_bits(CELL_BITS, link.profile.rate_bps);
+        let ct = link.profile.cell_time();
         let ct_us = ct.as_micros();
         // The per-cell path sets the busy flag at every cell's serve
         // start; it stays 1 through the run, so one sample books it all.
@@ -1324,7 +1499,7 @@ impl AtmNetwork {
             let mut t = train;
             t.spacing = ct;
             t.head_at = s + ct + prop;
-            let tid = self.stash_train(t);
+            let tid = self.trains.insert(t);
             // Event sequence numbers are the tie-break for simultaneous
             // timers, so each train event must be *allocated* at the wall
             // instant its per-cell counterpart would be: the head arrival
@@ -1357,9 +1532,8 @@ impl AtmNetwork {
                 }
                 continue;
             }
-            let id = self.stash(train.flying(&flat, k));
             let at = s + SimDuration::from_micros(ct_us * (k as u64 + 1)) + prop;
-            self.schedule(at, TimerKind::Arrive(link_id.0, id));
+            self.push_arrival(link_id, at, train.flying(&flat, k));
         }
     }
 
@@ -1395,10 +1569,12 @@ impl AtmNetwork {
     /// transmitter is idle, its queues empty, its cell rate matches the
     /// arrival spacing, and its fault window is clear, the run
     /// re-serializes analytically (classic cut-through: each cell starts
-    /// tx the instant it arrives). Otherwise the train expands into
-    /// per-cell arrivals at this switch and proceeds on the exact path.
+    /// tx the instant it arrives). A hop with RNG-coupled faults draws
+    /// per cell, so there the run streams instead when it can (see
+    /// [`Self::try_stream`]). Otherwise the train expands into per-cell
+    /// arrivals at this switch and proceeds on the exact path.
     fn train_head(&mut self, link_id: LinkId, tid: u32) {
-        let Some(train) = self.unstash_train(tid) else {
+        let Some(train) = self.trains.take(tid) else {
             return;
         };
         let now = self.now;
@@ -1417,13 +1593,13 @@ impl AtmNetwork {
             }
             return;
         };
-        let class = self
-            .vcs
-            .get((vc.0 as usize).wrapping_sub(1))
-            .map(|s| s.class)
-            .unwrap_or(ServiceClass::Ubr);
+        let class = self.class_of(vc);
+        let Err(train) = self.try_stream(link_id, next_link, class, train) else {
+            return;
+        };
+        self.split_streams(next_link);
         let nl = &self.links[next_link.0 as usize];
-        let ct2 = mits_sim::SimDuration::for_bits(CELL_BITS, nl.profile.rate_bps);
+        let ct2 = nl.profile.cell_time();
         // Structurally clear: trains allowed on the hop, nothing queued
         // ahead, no higher-priority VC routed over it, and the egress
         // cell rate matches the arrival spacing — the run will drain
@@ -1435,9 +1611,6 @@ impl AtmNetwork {
             && ct2 == train.spacing;
         let engageable = clear && !nl.busy && Self::link_clear_for_train(nl, now, n);
         if engageable {
-            // Ledger the run's pass-through on the egress queue (the
-            // per-cell path records n accepted offers there).
-            self.links[next_link.0 as usize].queues[class.priority()].note_passthrough(n);
             self.serve_train(next_link, train);
             return;
         }
@@ -1466,31 +1639,163 @@ impl AtmNetwork {
             return;
         }
         // Contended, rate-mismatched or RNG-faulted hop: expand. Later
-        // cells become in-flight arrivals on this link (they are still
-        // propagating); the head cell enqueues right now. Arrives are
-        // scheduled before the head's enqueue so same-instant events
-        // keep the per-cell timer order (Arrive seq precedes the TxDone
-        // the enqueue may schedule).
+        // cells arrive from the heap under the sequence numbers reserved
+        // here; the head cell enqueues right now, after the reservation,
+        // so same-instant events keep the per-cell timer order (an
+        // arrival precedes the TxDone the enqueue may schedule).
         if allowed {
             self.train_stats.expanded_contention += 1;
         } else {
             self.train_stats.expanded_fault_window += 1;
         }
-        let sp_us = train.spacing.as_micros();
-        let flat = train.run.flatten();
-        for k in 1..n {
-            let id = self.stash(train.flying(&flat, k));
-            let at = now + SimDuration::from_micros(sp_us * k as u64);
-            self.schedule(at, TimerKind::Arrive(link_id.0, id));
+        let mut e = self.expansion(train, link_id);
+        let head = e.take_next();
+        self.schedule_expansion(e);
+        self.enqueue_cell(next_link, class, head);
+    }
+
+    /// Stream a train across the RNG-faulted hop `next_link` when its
+    /// cells could never wait there: the hop serializes at the arrival
+    /// spacing and its transmitter is idle or finishing the current
+    /// stream's last cell at this very instant (either way its queues
+    /// are empty: an idle transmitter has drained them, and anything
+    /// entering a stream's hop splits the stream). Then cell k arrives
+    /// exactly when cell k − 1 finishes and is taken
+    /// at once, so the hop's `TxDone` is the only timer a cell needs:
+    /// it draws line noise and faults for the cell as `tx_done` always
+    /// has and starts the next one. The arrival timers are not
+    /// scheduled, but their sequence numbers are reserved, and any other
+    /// cell or train that enters the hop first splits the stream back
+    /// onto them ([`Self::split_streams`]). Hands the train back when the
+    /// hop cannot take it.
+    fn try_stream(
+        &mut self,
+        from: LinkId,
+        next_link: LinkId,
+        class: ServiceClass,
+        train: Train,
+    ) -> Result<(), Train> {
+        let now = self.now;
+        let nl = &self.links[next_link.0 as usize];
+        let fits = !Self::trains_allowed(nl)
+            && nl.profile.cell_time() == train.spacing
+            && nl.queues[class.priority()].capacity > 0;
+        let behind = |s: &Expansion| {
+            s.next == s.ncells() && s.key(s.ncells()).0 == now && nl.next_stream.is_none()
+        };
+        let idle = !nl.busy;
+        if fits && (idle || nl.stream.as_ref().is_some_and(behind)) {
+            self.train_stats.expanded_fault_window += 1;
+            self.train_stats.streamed += 1;
+            let mut e = self.expansion(train, from);
+            if idle {
+                let head = e.take_next();
+                self.links[next_link.0 as usize].stream = Some(e);
+                self.serve_cell(next_link, head);
+            } else {
+                self.links[next_link.0 as usize].next_stream = Some(e);
+            }
+            return Ok(());
         }
-        self.enqueue_cell(next_link, class, train.flying(&flat, 0));
+        Err(train)
+    }
+
+    /// Expand `train`, whose head just arrived over `from`: flatten its
+    /// run once and reserve the sequence numbers of its `n − 1` arrivals
+    /// behind the head.
+    fn expansion(&mut self, train: Train, from: LinkId) -> Expansion {
+        let seq_base = self.timer_seq;
+        self.timer_seq += train.run.ncells as u64 - 1;
+        Expansion {
+            flat: train.run.flatten(),
+            train,
+            link: from,
+            seq_base,
+            next: 0,
+        }
+    }
+
+    /// Put an expansion whose next cell has not arrived on the heap, or
+    /// drop it when every cell has.
+    fn schedule_expansion(&mut self, e: Expansion) {
+        if e.next < e.ncells() {
+            let key = e.key(e.next);
+            let id = self.expansions.insert(e);
+            self.schedule_keyed(key, TimerKind::Expand(id));
+        }
+    }
+
+    /// The next cell of a heap expansion reaches its switch.
+    fn expand(&mut self, id: u32) {
+        let Some(e) = self.expansions.get_mut(id) else {
+            return;
+        };
+        let (link, flying) = (e.link, e.take_next());
+        if e.next < e.ncells() {
+            let key = e.key(e.next);
+            self.schedule_keyed(key, TimerKind::Expand(id));
+        } else {
+            self.expansions.take(id);
+        }
+        self.cell_arrives(link, flying);
+    }
+
+    /// Serve the next cell of the train streaming across this hop, from
+    /// its `TxDone`: the cell reached the switch at this instant, before
+    /// this event (its sequence number is from the block reserved at the
+    /// head), exactly as a queued cell would be taken here. Once the
+    /// stream's last cell has finished, the next stream, whose head came
+    /// in at this instant, takes over. False when no stream has a cell.
+    fn serve_stream(&mut self, link_id: LinkId) -> bool {
+        let link = &mut self.links[link_id.0 as usize];
+        if link.stream.as_ref().is_some_and(|s| s.next == s.ncells()) {
+            link.stream = link.next_stream.take();
+        }
+        let Some(stream) = &mut link.stream else {
+            return false;
+        };
+        let flying = stream.take_next();
+        self.serve_cell(link_id, flying);
+        true
+    }
+
+    /// A cell or train is about to enter this hop: hand its streams back
+    /// to the heap, so cells queue from here on as they would have all
+    /// along. A stream cell that reached the switch before the current
+    /// event but is not serializing yet (at most one: the current
+    /// stream's next, or the next stream's head) enters the queue first;
+    /// the rest arrive from the heap under their reserved keys.
+    fn split_streams(&mut self, link_id: LinkId) {
+        let link = &mut self.links[link_id.0 as usize];
+        if link.stream.is_none() {
+            return;
+        }
+        self.train_stats.stream_splits += 1;
+        let streams = [link.stream.take(), link.next_stream.take()];
+        for mut e in streams.into_iter().flatten() {
+            let arrived =
+                e.next < e.ncells() && (e.next == 0 || e.key(e.next) < (self.now, self.cur_seq));
+            if arrived {
+                let class = self.class_of(VcId(e.train.vci));
+                let flying = e.take_next();
+                self.enqueue_cell(link_id, class, flying);
+            }
+            self.schedule_expansion(e);
+        }
+    }
+
+    /// The service class of a VC (UBR for an unknown one).
+    fn class_of(&self, vc: VcId) -> ServiceClass {
+        self.vcs
+            .get((vc.0 as usize).wrapping_sub(1))
+            .map_or(ServiceClass::Ubr, |s| s.class)
     }
 
     /// A train's last cell reaches the destination host: account every
     /// cell at its analytic arrival instant, validate the run image in
     /// one pass over its parts, and deliver the parts themselves.
     fn train_deliver(&mut self, link_id: LinkId, tid: u32) {
-        let Some(train) = self.unstash_train(tid) else {
+        let Some(train) = self.trains.take(tid) else {
             return;
         };
         let now = self.now;
@@ -1510,12 +1815,11 @@ impl AtmNetwork {
         // Stale partial PDU in the reassembly buffer (lost its end cell
         // upstream): flush on sequence change, as the per-cell first-cell
         // arrival would.
-        if state.rx.first().is_some_and(|f| f.cell.pdu_seq != this_seq) {
-            let stale = state.rx[0].cell.pdu_seq;
+        if let Some(stale) = state.rx.pdu_seq().filter(|&s| s != this_seq) {
             if state.failed_pdus.insert(stale) {
                 state.stats.pdus_failed += 1;
             }
-            state.rx.clear();
+            state.rx = Rx::Empty;
         }
         state.stats.cells_delivered += n as u64;
         // Cell k arrived at head_at + k·spacing.
@@ -1547,8 +1851,8 @@ impl AtmNetwork {
         }
     }
 
-    fn tx_done(&mut self, link_id: LinkId, flight: u32) {
-        let Some(flying) = self.unstash(flight) else {
+    fn tx_done(&mut self, link_id: LinkId) {
+        let Some(flying) = self.links[link_id.0 as usize].serving.take() else {
             return;
         };
         let (loss_rate, prop) = {
@@ -1571,12 +1875,13 @@ impl AtmNetwork {
             }
             None => {
                 let at = self.jittered_arrival(link_id, self.now + prop);
-                let id = self.stash(flying);
-                self.schedule(at, TimerKind::Arrive(link_id.0, id));
+                self.push_arrival(link_id, at, flying);
             }
         }
-        // Serve the next queued cell.
-        self.start_tx(link_id);
+        // Serve the next cell: the stream's, or the queues' head.
+        if !self.serve_stream(link_id) {
+            self.start_tx(link_id);
+        }
     }
 
     /// Run one cell through the link's injected loss faults. `Some(_)`
@@ -1635,10 +1940,25 @@ impl AtmNetwork {
         at
     }
 
-    fn arrive(&mut self, link_id: LinkId, flight: u32) {
-        let Some(flying) = self.unstash(flight) else {
+    /// The head of the link's flight queue arrives; the next one, if
+    /// any, takes the heap timer.
+    fn arrive(&mut self, link_id: LinkId) {
+        let flight = &mut self.links[link_id.0 as usize].flight;
+        let Some(head) = flight.pop_front() else {
             return;
         };
+        debug_assert_eq!((head.at, head.seq), (self.now, self.cur_seq));
+        if let Some(next) = flight.front_mut().filter(|f| !f.armed) {
+            next.armed = true;
+            let key = (next.at, next.seq);
+            self.schedule_keyed(key, TimerKind::Arrive(link_id.0));
+        }
+        self.cell_arrives(link_id, head.flying);
+    }
+
+    /// A cell reaches the far end of `link_id`: a switch queues it on
+    /// the VC's next hop; the destination host reassembles.
+    fn cell_arrives(&mut self, link_id: LinkId, flying: Flying) {
         let node_id = self.links[link_id.0 as usize].to;
         let vc = VcId(flying.cell.vci);
         let node = &self.nodes[node_id.0 as usize];
@@ -1651,11 +1971,7 @@ impl AtmNetwork {
                 }
                 return;
             };
-            let class = self
-                .vcs
-                .get((vc.0 as usize).wrapping_sub(1))
-                .map(|s| s.class)
-                .unwrap_or(ServiceClass::Ubr);
+            let class = self.class_of(vc);
             self.enqueue_cell(next_link, class, flying);
             return;
         }
@@ -1673,26 +1989,18 @@ impl AtmNetwork {
         let is_end = flying.cell.pdu_end;
         let this_seq = flying.cell.pdu_seq;
         // Cells of an older PDU that lost its end cell: flush on seq change.
-        if state.rx.first().is_some_and(|f| f.cell.pdu_seq != this_seq) {
-            let stale = state.rx[0].cell.pdu_seq;
+        if let Some(stale) = state.rx.pdu_seq().filter(|&s| s != this_seq) {
             if state.failed_pdus.insert(stale) {
                 state.stats.pdus_failed += 1;
             }
-            state.rx.clear();
+            state.rx = Rx::Empty;
         }
         state.rx.push(flying);
         if !is_end {
             return;
         }
-        let send_call = state.rx.first().map(|f| f.send_call).unwrap_or(now);
-        // Stage the PDU's cells in the reused scratch (no per-PDU Vec).
-        let cells = &mut self.cell_scratch;
-        cells.clear();
-        cells.extend(state.rx.drain(..).map(|f| f.cell));
-        let reassembled = aal5::reassemble(cells);
-        cells.clear();
-        match reassembled {
-            Ok(payload) => {
+        match state.rx.finish() {
+            Ok((send_call, payload)) => {
                 let payload = PartList::from(payload);
                 state.stats.pdus_delivered += 1;
                 state.stats.bytes_delivered += payload.len() as u64;

@@ -13,13 +13,21 @@
 //! expand around the windows. Links with RNG-coupled faults (extra
 //! loss, bursts, jitter) are the other: a train never forms on, cuts
 //! through to or parks at one, but rides the clean hops around it and
-//! expands into cells where it enters the faulted hop, whose fault-RNG
-//! draws must then happen per cell in exactly the per-cell order.
+//! streams across the faulted hop, where each cell still draws the
+//! fault RNG at its own `TxDone`, in exactly the per-cell order; a cell
+//! of another VC entering that hop splits the stream back into queued
+//! cells.
+//!
+//! `force_per_cell` is only an oracle while no two VCs of one service
+//! class share a hop: there a cut-through train holds the transmitter
+//! for its whole run, which per-cell dispatch does not. The topology
+//! here pairs a VBR VC with a UBR one; the lossy grid at the end pins
+//! the train-mode outcomes of two UBR VCs instead.
 
 use bytes::Bytes;
 use mits_atm::{
     AtmNetwork, Delivery, FaultPlan, FaultStats, LinkFaults, LinkProfile, NodeId, ServiceClass,
-    VcId, VcStats,
+    TrainStats, VcId, VcStats,
 };
 use mits_sim::{DelayMoments, OnlineStats, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -111,6 +119,9 @@ fn build(seed: u64, plan: &FaultPlan, per_cell: bool) -> (AtmNetwork, Vec<VcId>,
     let vcs = vec![
         net.open_vc(&[a, s, dst], ServiceClass::Vbr, None).unwrap(),
         net.open_vc(&[b, s, dst], ServiceClass::Ubr, None).unwrap(),
+        // The reverse direction of the shared hop, for single-cell
+        // replies.
+        net.open_vc(&[dst, s, a], ServiceClass::Ubr, None).unwrap(),
     ];
     (net, vcs, dst)
 }
@@ -157,14 +168,13 @@ fn same_busy(batched: &Busy, per_cell: &Busy) -> Result<(), String> {
 }
 
 /// Drive one network through the send schedule; return the observables,
-/// the number of train runs the scheduler actually batched, and the
-/// weathermap busy windows.
+/// what the train fast path did, and the weathermap busy windows.
 fn run_one(
     seed: u64,
     plan: &FaultPlan,
     steps: &[SendStep],
     per_cell: bool,
-) -> (Observed, u64, Busy) {
+) -> (Observed, TrainStats, Busy) {
     let (mut net, vcs, _dst) = build(seed, plan, per_cell);
     let mut deliveries = Vec::new();
     for st in steps {
@@ -180,31 +190,30 @@ fn run_one(
         .iter()
         .map(|&vc| flatten(net.vc_stats(vc).expect("vc stats")))
         .collect();
-    let runs = net.train_stats().runs;
     (
         Observed {
             deliveries,
             vc_stats,
             fault_stats: net.fault_stats(),
         },
-        runs,
+        net.train_stats(),
         busy_windows(&net),
     )
 }
 
 /// Run the schedule both ways and assert observational equality. Returns
-/// the batched network's train run count so callers can assert the fast
-/// path actually engaged (or stayed out).
-fn assert_equivalent(seed: u64, plan: &FaultPlan, steps: &[SendStep]) -> u64 {
-    let (batched, runs, busy) = run_one(seed, plan, steps, false);
-    let (per_cell, pinned_runs, pinned_busy) = run_one(seed, plan, steps, true);
+/// what the batched network's fast path did, so callers can assert it
+/// actually engaged (or stayed out).
+fn assert_equivalent(seed: u64, plan: &FaultPlan, steps: &[SendStep]) -> TrainStats {
+    let (batched, stats, busy) = run_one(seed, plan, steps, false);
+    let (per_cell, pinned, pinned_busy) = run_one(seed, plan, steps, true);
     assert_eq!(
         batched, per_cell,
         "train path diverged from per-cell path (seed {seed})"
     );
     same_busy(&busy, &pinned_busy).unwrap();
-    assert_eq!(pinned_runs, 0, "force_per_cell must disable trains");
-    runs
+    assert_eq!(pinned.runs, 0, "force_per_cell must disable trains");
+    stats
 }
 
 fn big_steps() -> Vec<SendStep> {
@@ -220,8 +229,8 @@ fn big_steps() -> Vec<SendStep> {
 
 #[test]
 fn clean_network_trains_match_per_cell_exactly() {
-    let runs = assert_equivalent(11, &FaultPlan::none(), &big_steps());
-    assert!(runs > 0, "fast path must engage on a clean network");
+    let stats = assert_equivalent(11, &FaultPlan::none(), &big_steps());
+    assert!(stats.runs > 0, "fast path must engage on a clean network");
 }
 
 #[test]
@@ -246,9 +255,9 @@ fn down_windows_match_per_cell_exactly() {
             .with_down(SimTime::from_millis(5), SimTime::from_millis(9))
             .with_down(SimTime::from_millis(40), SimTime::from_millis(41)),
     );
-    let stats_runs = assert_equivalent(42, &plan, &big_steps());
+    let stats = assert_equivalent(42, &plan, &big_steps());
     // Down-only plans keep trains allowed; runs land outside the windows.
-    assert!(stats_runs > 0, "down-only plan must not disable trains");
+    assert!(stats.runs > 0, "down-only plan must not disable trains");
 }
 
 #[test]
@@ -258,8 +267,117 @@ fn rng_coupled_faults_pin_per_cell_and_match() {
     // hop: no hop is eligible, no train forms, and both runs are
     // trivially identical — verify both the exclusion and the equality.
     let plan = FaultPlan::uniform(LinkFaults::loss(0.01).with_jitter(SimDuration::from_micros(40)));
-    let runs = assert_equivalent(7, &plan, &big_steps());
-    assert_eq!(runs, 0, "RNG-coupled plans must disable the fast path");
+    let stats = assert_equivalent(7, &plan, &big_steps());
+    assert_eq!(
+        stats.runs, 0,
+        "RNG-coupled plans must disable the fast path"
+    );
+}
+
+/// RNG-coupled faults on both directions of the shared `s`–`dst` hop.
+fn lossy_hop(faults: LinkFaults) -> FaultPlan {
+    FaultPlan::none()
+        .with_link(S, DST, faults.clone())
+        .with_link(DST, S, faults)
+}
+
+/// The PDU sizes the stream tests send back to back: trains of 188, 84,
+/// 15 and 251 cells.
+const BACK_TO_BACK: [usize; 4] = [9_000, 4_000, 700, 12_000];
+
+fn back_to_back(vc_ix: usize) -> Vec<SendStep> {
+    BACK_TO_BACK
+        .iter()
+        .map(|&size| SendStep {
+            vc_ix,
+            size,
+            gap_us: 0,
+        })
+        .collect()
+}
+
+#[test]
+fn back_to_back_trains_stream_across_a_lossy_hop() {
+    // Each train's head reaches the switch as the previous one's last
+    // cell finishes on the lossy hop, so every one streams behind it.
+    for (seed, vc_ix) in [(1, 0), (2, 1), (3, 1)] {
+        let plan = lossy_hop(LinkFaults::loss(0.002));
+        let stats = assert_equivalent(seed, &plan, &back_to_back(vc_ix));
+        assert_eq!(stats.streamed, 4, "seed {seed}");
+        assert_eq!(stats.stream_splits, 0, "seed {seed}");
+    }
+}
+
+#[test]
+fn a_vbr_cell_entering_mid_stream_splits_it() {
+    // A UBR train streams across the lossy hop; one VBR cell enters the
+    // hop at a different point of the run in every case, before or
+    // after the stream cell that arrives at the same instant, and must
+    // overtake the rest of the run exactly as per-cell priority would.
+    let plan = lossy_hop(LinkFaults::loss(0.005));
+    let mut splits = 0;
+    for gap_us in (0..700).step_by(7) {
+        let mut steps = back_to_back(1);
+        steps.push(SendStep {
+            vc_ix: 0,
+            size: 40,
+            gap_us,
+        });
+        let stats = assert_equivalent(gap_us, &plan, &steps);
+        assert!(stats.streamed > 0, "gap {gap_us}");
+        splits += stats.stream_splits;
+    }
+    assert!(splits >= 90, "{splits} of 100 runs split a stream");
+}
+
+#[test]
+fn bursts_jitter_and_down_windows_on_the_stream_hop_match_per_cell() {
+    let down = |f: LinkFaults| {
+        f.with_down(SimTime::from_micros(400), SimTime::from_micros(900))
+            .with_down(SimTime::from_micros(1_500), SimTime::from_micros(1_510))
+    };
+    let plans = [
+        LinkFaults::default().with_burst(0.004, 6.0),
+        LinkFaults::loss(0.001).with_jitter(SimDuration::from_micros(9)),
+        down(LinkFaults::loss(0.003)),
+        down(
+            LinkFaults::loss(0.001)
+                .with_burst(0.002, 3.0)
+                .with_jitter(SimDuration::from_micros(4)),
+        ),
+    ];
+    for (i, faults) in plans.into_iter().enumerate() {
+        let plan = lossy_hop(faults);
+        for seed in 0..8 {
+            let mut steps = back_to_back(seed as usize % 2);
+            steps.push(SendStep {
+                vc_ix: 1 - seed as usize % 2,
+                size: 1_000 + seed as usize * 900,
+                gap_us: 150 + seed * 61,
+            });
+            let stats = assert_equivalent(seed, &plan, &steps);
+            assert!(stats.streamed > 0, "plan {i} seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn single_cell_replies_on_the_lossy_reverse_hop_match_per_cell() {
+    // Replies on `dst → s` draw the shared fault RNG between the
+    // stream's own draws on `s → dst`.
+    let plan = lossy_hop(LinkFaults::loss(0.01).with_burst(0.003, 4.0));
+    for seed in 0..8 {
+        let mut steps = back_to_back(1);
+        for k in 0..12 {
+            steps.push(SendStep {
+                vc_ix: 2,
+                size: 10,
+                gap_us: 20 + (seed * 7 + k * 13) % 90,
+            });
+        }
+        let stats = assert_equivalent(seed, &plan, &steps);
+        assert!(stats.streamed > 0, "seed {seed}");
+    }
 }
 
 proptest! {
@@ -357,14 +475,121 @@ proptest! {
             clean[i] = false;
             plan = plan.with_link(from, to, faults);
         }
-        let (batched, runs, busy) = run_one(seed, &plan, &steps, false);
+        let (batched, stats, busy) = run_one(seed, &plan, &steps, false);
         let (per_cell, _, pinned_busy) = run_one(seed, &plan, &steps, true);
         prop_assert_eq!(batched, per_cell);
         prop_assert_eq!(same_busy(&busy, &pinned_busy), Ok(()));
         // A PDU of 200+ bytes is at least 4 cells: it forms a train on a
         // clean first hop (HOPS[vc] is VC vc's first hop).
         if steps.iter().any(|st| clean[st.vc_ix] && st.size >= 200) {
-            prop_assert!(runs > 0, "no train engaged on a clean first hop");
+            prop_assert!(stats.runs > 0, "no train engaged on a clean first hop");
         }
     }
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// One run of the lossy grid: UBR VC 0 (`a → s → dst`) sends four
+/// back-to-back PDUs at 0 µs; `gap_us` later VC 1 (`b → s → dst`, of
+/// class `second`) sends one cell, the reverse UBR VC 2 (`dst → s → a`)
+/// one cell, and VC 0 a 3,000 B PDU. `faults` sits on both directions of
+/// the `s`–`dst` hop. Folds every delivery, every VC's stats, the fault
+/// counters, the train counters the scheduler kept before streams
+/// existed, and the weathermap into `h`.
+fn grid_run(h: u64, seed: u64, faults: &LinkFaults, second: ServiceClass, gap_us: u64) -> u64 {
+    let mut net = AtmNetwork::new(seed);
+    let a = net.add_host("a");
+    let b = net.add_host("b");
+    let s = net.add_switch("s");
+    let dst = net.add_host("dst");
+    for host in [a, b, dst] {
+        net.connect(host, s, LinkProfile::atm_oc3());
+    }
+    net.set_fault_plan(
+        FaultPlan::none()
+            .with_link(s, dst, faults.clone())
+            .with_link(dst, s, faults.clone()),
+    );
+    let vcs = [
+        net.open_vc(&[a, s, dst], ServiceClass::Ubr, None).unwrap(),
+        net.open_vc(&[b, s, dst], second, None).unwrap(),
+        net.open_vc(&[dst, s, a], ServiceClass::Ubr, None).unwrap(),
+    ];
+    let pdu = |len: usize, tag: u8| Bytes::from(vec![tag; len]);
+    for (i, len) in [9_000, 4_000, 700, 12_000].into_iter().enumerate() {
+        net.send(vcs[0], &[pdu(len, i as u8)]).unwrap();
+    }
+    let mut deliveries = net.advance(SimTime::from_micros(gap_us));
+    net.send(vcs[1], &[pdu(40, 0xB0)]).unwrap();
+    net.send(vcs[2], &[pdu(10, 0xD0)]).unwrap();
+    net.send(vcs[0], &[pdu(3_000, 0xA5)]).unwrap();
+    deliveries.extend(net.drain(SimTime::from_secs(1)));
+    let mut h = h;
+    for d in &deliveries {
+        h = fnv(h, &d.at.as_micros().to_le_bytes());
+        h = fnv(h, &d.vc.0.to_le_bytes());
+        h = fnv(h, &d.node.0.to_le_bytes());
+        h = fnv(h, &d.payload.to_vec());
+    }
+    for &vc in &vcs {
+        let stats = flatten(net.vc_stats(vc).expect("vc stats"));
+        h = fnv(h, format!("{stats:?}").as_bytes());
+    }
+    h = fnv(h, format!("{:?}", net.fault_stats()).as_bytes());
+    let t = net.train_stats();
+    let pinned = [
+        t.runs,
+        t.cells_batched,
+        t.per_cell_pdus,
+        t.expanded_contention,
+        t.parked,
+        t.expanded_fault_window,
+        t.line_loss_fallbacks,
+    ];
+    for counter in pinned {
+        h = fnv(h, &counter.to_le_bytes());
+    }
+    fnv(h, net.weathermap_json().as_bytes())
+}
+
+/// Digest of the lossy grid as the scheduler produced it before cell
+/// trains could stream across an RNG-faulted hop.
+const LOSSY_GRID_DIGEST: u64 = 0x2ccc_c90f_df1d_3f3f;
+
+/// The stream across a lossy hop reproduces the train-mode scheduler it
+/// replaced on every run of a grid: four lossy plans on the `s`–`dst`
+/// hop × a UBR or VBR second VC × seeds 0–5 × gaps 0–897 µs in 13 µs
+/// steps (3,360 runs). `force_per_cell` is no oracle here: two UBR VCs
+/// sharing the hop serve differently with and without trains (a
+/// cut-through train holds the transmitter for its run), so the grid
+/// pins the train-mode outcomes themselves.
+#[test]
+fn lossy_grid_matches_the_pinned_train_mode_digest() {
+    let plans = [
+        LinkFaults::loss(0.01),
+        LinkFaults::loss(0.002).with_burst(0.001, 5.0),
+        LinkFaults::loss(0.005).with_jitter(SimDuration::from_micros(7)),
+        LinkFaults::loss(0.01).with_down(SimTime::from_micros(300), SimTime::from_micros(500)),
+    ];
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut runs = 0;
+    for faults in &plans {
+        for second in [ServiceClass::Ubr, ServiceClass::Vbr] {
+            for seed in 0..6 {
+                for gap_us in (0..=900).step_by(13) {
+                    h = grid_run(h, seed, faults, second, gap_us);
+                    runs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 3_360);
+    assert_eq!(h, LOSSY_GRID_DIGEST, "lossy grid digest {h:#018x}");
 }

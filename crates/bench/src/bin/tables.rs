@@ -987,23 +987,40 @@ fn stage_mbps(bytes_per_iter: usize, mut f: impl FnMut()) -> f64 {
     (bytes_per_iter * iters) as f64 / t0.elapsed().as_secs_f64() / 1e6
 }
 
+/// How the network stage's 200 KB PDU crosses host → switch → host.
+#[derive(Clone, Copy)]
+enum NetStage {
+    /// Cell trains on both hops.
+    Train,
+    /// `force_per_cell`: every cell on its own.
+    PerCell,
+    /// A train on the first hop streaming across a second hop whose
+    /// `LinkFaults::loss(1e-12)` keeps it off the train path but loses
+    /// nothing.
+    Lossy,
+}
+
 /// Throughput of a 200 KB PDU crossing host → switch → host on OC-3,
-/// with the cell-train fast path either engaged or forced off.
-fn net_stage_mbps(per_cell: bool) -> f64 {
-    use mits_atm::{AtmNetwork, ServiceClass};
+/// in MB/s, in the given mode.
+fn net_stage_mbps(stage: NetStage) -> f64 {
+    use mits_atm::{AtmNetwork, FaultPlan, LinkFaults, ServiceClass};
     const BYTES: usize = 200 * 1024;
     let payload = Bytes::from(vec![7u8; BYTES]);
     let mut scratch = mits_atm::NetScratch::default();
     stage_mbps(BYTES, || {
         let mut net = AtmNetwork::with_scratch(1, std::mem::take(&mut scratch));
-        if per_cell {
-            net.force_per_cell();
-        }
         let a = net.add_host("A");
         let s = net.add_switch("S");
         let b = net.add_host("B");
         net.connect(a, s, LinkProfile::atm_oc3());
         net.connect(s, b, LinkProfile::atm_oc3());
+        match stage {
+            NetStage::Train => {}
+            NetStage::PerCell => net.force_per_cell(),
+            NetStage::Lossy => {
+                net.set_fault_plan(FaultPlan::none().with_link(s, b, LinkFaults::loss(1e-12)))
+            }
+        }
         let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
         net.send(vc, std::slice::from_ref(&payload)).unwrap();
         let d = net.drain(SimTime::from_secs(60));
@@ -1042,11 +1059,12 @@ fn media(opts: &Options) {
             std::hint::black_box(aal5::reassemble_run(run.clone()).unwrap());
         })
     };
-    let net_train = net_stage_mbps(false);
-    let net_per_cell = net_stage_mbps(true);
+    let net_train = net_stage_mbps(NetStage::Train);
+    let net_per_cell = net_stage_mbps(NetStage::PerCell);
+    let net_lossy = net_stage_mbps(NetStage::Lossy);
     let fetch = fetch_microbench();
     let json = format!(
-        "{{\n  \"experiment\": \"media\",\n  \"crc_hw_accelerated\": {},\n  \"crc_slice16_mbps\": {:.1},\n  \"crc_dispatch_mbps\": {:.1},\n  \"segment_mbps\": {:.1},\n  \"reassemble_mbps\": {:.1},\n  \"net_train_mbps\": {:.1},\n  \"net_per_cell_mbps\": {:.1},\n  \"train_speedup\": {:.2},\n  \"fetch200k_kbps\": {:.1},\n  \"fetch200k_kbps_min\": {:.1},\n  \"fetch200k_kbps_max\": {:.1}\n}}\n",
+        "{{\n  \"experiment\": \"media\",\n  \"crc_hw_accelerated\": {},\n  \"crc_slice16_mbps\": {:.1},\n  \"crc_dispatch_mbps\": {:.1},\n  \"segment_mbps\": {:.1},\n  \"reassemble_mbps\": {:.1},\n  \"net_train_mbps\": {:.1},\n  \"net_per_cell_mbps\": {:.1},\n  \"train_speedup\": {:.2},\n  \"net_lossy_mbps\": {:.1},\n  \"lossy_speedup\": {:.2},\n  \"fetch200k_kbps\": {:.1},\n  \"fetch200k_kbps_min\": {:.1},\n  \"fetch200k_kbps_max\": {:.1}\n}}\n",
         aal5::crc32_is_hw_accelerated(),
         crc_slice16,
         crc_dispatch,
@@ -1055,6 +1073,8 @@ fn media(opts: &Options) {
         net_train,
         net_per_cell,
         net_train / net_per_cell.max(1e-9),
+        net_lossy,
+        net_lossy / net_per_cell.max(1e-9),
         fetch.median,
         fetch.min,
         fetch.max,

@@ -952,8 +952,12 @@ impl Campus {
             seed: report.seed,
         };
         let base = SystemConfig::broadband(1).with_seed(spec.seed);
+        // A hook that panics for this session (which then retired as
+        // failed) leaves the base topology in the bundle.
         let config = match &self.session_config {
-            Some(f) => f(&spec, base),
+            Some(f) => {
+                panic::catch_unwind(AssertUnwindSafe(|| f(&spec, base.clone()))).unwrap_or(base)
+            }
             None => base,
         };
         let faults = self
@@ -983,7 +987,10 @@ impl Campus {
     /// checkpoints must equal the campus-recorded ones layer for layer.
     /// A divergence is a hard error naming the first layer that
     /// disagrees. Neither the sampler nor the flight-ring cap feeds the
-    /// digest, so the instrumentation delta cannot cause one.
+    /// digest, so the instrumentation delta cannot cause one. A session
+    /// that panics is retired as the campus retired it (see
+    /// [`Campus::run_with`]), so its replay reproduces the failure
+    /// instead of re-raising the panic.
     pub fn replay_bundle(&self, bundle: &ReplayBundle) -> Result<ReplayReport, SystemError> {
         if self.workloads.is_empty() {
             return Err(SystemError::Protocol(
@@ -994,13 +1001,10 @@ impl Campus {
             student: bundle.student,
             seed: bundle.seed,
         };
+        let started = Instant::now();
         let base = SystemConfig::broadband(1)
             .with_seed(spec.seed)
             .with_flight_ring(usize::MAX);
-        let config = match &self.session_config {
-            Some(f) => f(&spec, base),
-            None => base,
-        };
         // Rate 1.0 head-samples every student, so the replayed trace is
         // always kept; the decision stays out of the digest.
         let sampler = TraceSampler::new(self.base_seed, 1.0).with_latency_threshold(SLOW_SESSION);
@@ -1019,17 +1023,34 @@ impl Campus {
             profile_top = mits_sim::profile_tracer(&sys.tracer).render_top(10);
         };
         let workload = &self.workloads[bundle.workload % self.workloads.len()];
-        let (outcome, _) = run_session(
-            workload,
-            &publish(workload, &config)?,
-            &sampler,
-            &spec,
-            &config,
-            SessionScratch::default(),
-            &mut MetricsSnapshot::new(),
-            Some(&mut observe),
-        )?;
-        let report = outcome.report;
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            let config = match &self.session_config {
+                Some(f) => f(&spec, base),
+                None => base,
+            };
+            run_session(
+                workload,
+                &publish(workload, &config)?,
+                &sampler,
+                &spec,
+                &config,
+                SessionScratch::default(),
+                &mut MetricsSnapshot::new(),
+                Some(&mut observe),
+            )
+        }));
+        let (report, trace_jsonl) = match ran {
+            Ok(ran) => {
+                let (outcome, _) = ran?;
+                let trace = outcome.trace.map(|t| t.jsonl).unwrap_or_default();
+                (outcome.report, trace)
+            }
+            Err(payload) => {
+                let error = format!("session panicked: {}", panic_message(&*payload));
+                let outcome = panicked_session(&spec, error, started, &mut MetricsSnapshot::new());
+                (outcome.report, String::new())
+            }
+        };
         report.layers.compare(&bundle.layers).map_err(|d| {
             SystemError::Protocol(format!(
                 "replay of student {} unfaithful: {d}",
@@ -1044,7 +1065,6 @@ impl Campus {
         }
         let breach_reproduced =
             report.failed == bundle.failed && report.anomalous == bundle.anomalous;
-        let trace_jsonl = outcome.trace.map(|t| t.jsonl).unwrap_or_default();
         Ok(ReplayReport {
             bundle: bundle.clone(),
             digest_match: true,

@@ -353,14 +353,16 @@ pub struct CourseImage {
 
 /// Reusable allocation capacity carried from one retired [`MitsSystem`]
 /// to the next one a campus worker admits: the network's recycled
-/// containers (timer heap, cell slab, delivery buffer, VC and topology
-/// tables — see [`mits_atm::NetScratch`]) and the emptied metrics
+/// containers (timer heap, train slabs, delivery buffer, VC and topology
+/// tables — see [`mits_atm::NetScratch`]), the emptied metrics
 /// registry, whose names the next export rewrites in place (see
-/// [`MetricsRegistry::recycle`]).
+/// [`MetricsRegistry::recycle`]), and the shard router, whose ring
+/// depends on nothing but the shard count.
 #[derive(Default)]
 pub struct SessionScratch {
     net: NetScratch,
     metrics: Option<MetricsRegistry>,
+    router: Option<ShardRouter>,
 }
 
 impl MitsSystem {
@@ -375,6 +377,7 @@ impl MitsSystem {
         SessionScratch {
             net: self.net.into_scratch(),
             metrics: self.metrics.recycle(),
+            router: Some(self.router),
         }
     }
 
@@ -525,7 +528,10 @@ impl MitsSystem {
             backbone: config.backbone,
             servers,
             endpoints,
-            router: ShardRouter::new(shards),
+            router: scratch
+                .router
+                .filter(|r| r.shards() == shards)
+                .unwrap_or_else(|| ShardRouter::new(shards)),
             group_size,
             edge: (config.edge_cache_bytes > 0).then(|| {
                 let mut e = EdgeCache::new(config.edge_cache_bytes, shards);

@@ -61,14 +61,19 @@ import json, sys
 d = json.load(open(sys.argv[1]))
 for key in ("crc_hw_accelerated", "crc_slice16_mbps", "crc_dispatch_mbps",
             "segment_mbps", "reassemble_mbps", "net_train_mbps",
-            "net_per_cell_mbps", "train_speedup", "fetch200k_kbps"):
+            "net_per_cell_mbps", "train_speedup", "net_lossy_mbps",
+            "lossy_speedup", "fetch200k_kbps"):
     assert key in d, f"BENCH_media.json missing {key}"
     if key != "crc_hw_accelerated":
         assert d[key] > 0, f"BENCH_media.json {key} not positive: {d[key]}"
 assert d["train_speedup"] > 1.0, (
     f"cell trains slower than per-cell dispatch: {d['train_speedup']}")
+# A train streaming across a hop with RNG-coupled faults keeps one timer
+# per cell there instead of three.
+assert d["lossy_speedup"] > 1.5, (
+    f"a lossy hop is not faster than per-cell dispatch: {d['lossy_speedup']}")
 PY
-echo "media bench json well-formed, train fast path engaged"
+echo "media bench json well-formed, train fast path and lossy stream engaged"
 
 # SLO smoke: a small zero-fault campus must emit valid verdict JSON with
 # zero breaches (warn tiers are informational; a breach here means the

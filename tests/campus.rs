@@ -279,6 +279,27 @@ fn panicking_session_fails_alone() {
     let two = run(2);
     assert_eq!(one.digest, two.digest, "threads must not change the digest");
     assert_eq!(one.sessions, two.sessions);
+    // Replaying the panicked session retires it again, as the campus
+    // did: same digest and layers (seed, then the failure mark), failed.
+    for threads in [1, 2] {
+        let replay = Campus::new(12, 5)
+            .threads(threads)
+            .workload(w.clone())
+            .configure_sessions(|spec, config| {
+                assert!(spec.student != 7, "hook refuses student 7");
+                config
+            })
+            .replay(7)
+            .expect("the replay reports the panic instead of raising it");
+        assert!(replay.digest_match && replay.breach_reproduced);
+        assert!(replay.report.failed && replay.report.anomalous);
+        let error = replay.report.error.as_deref().unwrap_or_default();
+        assert!(error.contains("hook refuses student 7"), "{error}");
+        assert!(
+            replay.trace_jsonl.is_empty(),
+            "an unwound session has no trace"
+        );
+    }
     let clean = Campus::new(12, 5).threads(1).workload(w).run().unwrap();
     assert_ne!(clean.digest, one.digest, "the failure reaches the digest");
 }
