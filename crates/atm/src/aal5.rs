@@ -160,10 +160,17 @@ fn gather_crc(parts: &[Bytes], pad: usize, trailer: &[u8; TRAILER]) -> u32 {
 
 /// Cell `k` of a flattened run `flat` (see [`RunImage::flatten`]): a
 /// 48-byte view into it, with the end-of-PDU bit on the last cell.
-pub(crate) fn cell_of(vpi: u8, vci: u16, pdu_seq: u64, flat: &Bytes, k: usize) -> AtmCell {
+fn cell_of(vpi: u8, vci: u16, pdu_seq: u64, flat: &Bytes, k: usize) -> AtmCell {
     let ncells = flat.len() / CELL_PAYLOAD;
-    AtmCell::new(vpi, vci, pdu_seq, k as u32, k + 1 == ncells)
-        .with_payload_view(flat.slice(k * CELL_PAYLOAD..(k + 1) * CELL_PAYLOAD))
+    AtmCell {
+        vpi,
+        vci,
+        pdu_end: k + 1 == ncells,
+        clp: false,
+        pdu_seq,
+        cell_index: k as u32,
+        payload: flat.slice(k * CELL_PAYLOAD..(k + 1) * CELL_PAYLOAD),
+    }
 }
 
 /// Materialize the per-cell form of a run image into `out` (cleared

@@ -6,9 +6,12 @@
 //! recoverable on real hardware from arrival order).
 //!
 //! The payload is a [`Bytes`] view, normally a 48-byte window into the
-//! PDU-wide buffer built by AAL5 segmentation: cloning a cell (which the
-//! switch fabric, per-VC queues and retransmit buffers do constantly) bumps
-//! a reference count instead of copying bytes.
+//! PDU-wide buffer built by AAL5 segmentation, so cloning a cell bumps a
+//! reference count instead of copying bytes. This is the form
+//! [`crate::aal5::segment`] and [`crate::aal5::reassemble`] work in. The
+//! network simulator does not carry `AtmCell`s: a cell in flight there is
+//! its header alone, since its payload is implicitly the next window of
+//! its PDU's flattened run, which only cell 0 carries.
 
 use bytes::Bytes;
 use std::sync::{Arc, OnceLock};

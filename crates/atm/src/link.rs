@@ -215,6 +215,8 @@ impl LinkTelemetry {
             let next = (window + 1) * TELEMETRY_WINDOW_US;
             let here = match ct {
                 0 => cells - booked,
+                // A single cell starts in the window it is noted in.
+                _ if cells == 1 => 1,
                 _ => (next - start).div_ceil(ct).min(cells) - booked,
             };
             let first = booked == 0;

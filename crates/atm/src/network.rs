@@ -9,7 +9,7 @@
 //! VC — the raw material of experiments E-BB and F3.5.
 
 use crate::aal5;
-use crate::cell::{AtmCell, CELL_PAYLOAD};
+use crate::cell::CELL_PAYLOAD;
 use crate::fault::{FaultPlan, FaultState, FaultStats, LinkFaults};
 use crate::link::{LinkProfile, LinkTelemetry, Policer, ServeKind, ServiceClass, TrafficContract};
 use bytes::{Bytes, PartList};
@@ -19,7 +19,6 @@ use mits_sim::{
 };
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 /// A node (host or switch) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -132,7 +131,12 @@ impl VcStats {
 
 struct LinkState {
     to: NodeId,
+    /// Whether `to` is a host: the cells arriving there are only
+    /// counted and reassembled, never forwarded.
+    to_host: bool,
     profile: LinkProfile,
+    /// `profile.cell_time()`, computed once.
+    cell_time: SimDuration,
     queues: Vec<TxQueue>,
     busy: bool,
     /// The transmitter's busy flag (0/1) over time; its integral is the
@@ -158,8 +162,11 @@ struct LinkState {
     serving: Option<Flying>,
     /// Cells propagating toward `to`, in arrival order. Cells leave a
     /// link in serialization order and jitter is clamped so it never
-    /// reorders them, so arrivals append in key order and one heap
-    /// timer, the head's, stands for the whole queue.
+    /// reorders them, so arrivals append in key order. Toward a switch,
+    /// one heap timer, the head's, stands for the whole queue. Toward a
+    /// host only end cells have timers: the cells before one wait here
+    /// unarmed and land in key order when it does (see
+    /// [`AtmNetwork::land`]).
     flight: VecDeque<InFlight>,
     /// A train streaming across this hop: its cells serialize as they
     /// arrive, without queueing (see [`AtmNetwork::try_stream`]).
@@ -169,11 +176,55 @@ struct LinkState {
     next_stream: Option<Expansion>,
 }
 
-#[derive(Clone)]
+/// The header of a cell in the network: what switches route on and the
+/// destination reassembles by.
+#[derive(Clone, Copy)]
+struct Header {
+    vci: u16,
+    pdu_seq: u64,
+    /// Cell index within its PDU.
+    index: u32,
+    /// Last cell of its PDU.
+    end: bool,
+    /// Tagged by the policer: discarded first under congestion.
+    clp: bool,
+}
+
+/// A cell in flight. Its payload is the 48-byte window `index` of the
+/// buffer its PDU was flattened into, and no fault rewrites a payload,
+/// so the window is never materialized: only cell 0 carries the buffer,
+/// and the destination validates the PDU from it once the run is in.
 struct Flying {
-    cell: AtmCell,
-    born: SimTime,
-    send_call: SimTime,
+    header: Header,
+    /// The send call's instant: the origin of the cell's transfer delay
+    /// and of its PDU's latency.
+    sent: SimTime,
+    /// Cell 0's: the flattened run.
+    run: Option<Bytes>,
+}
+
+impl Flying {
+    /// Cell `k` of an `n`-cell PDU sent at `sent`; cell 0 takes the
+    /// flattened run out of `flat`.
+    fn of_run(
+        vci: u16,
+        pdu_seq: u64,
+        (k, n): (usize, usize),
+        sent: SimTime,
+        flat: &mut Option<Bytes>,
+    ) -> Flying {
+        Flying {
+            header: Header {
+                vci,
+                pdu_seq,
+                index: k as u32,
+                end: k + 1 == n,
+                clp: false,
+            },
+            sent,
+            run: if k == 0 { flat.take() } else { None },
+        }
+    }
 }
 
 /// A cell propagating on a link, keyed by its arrival instant and the
@@ -181,9 +232,10 @@ struct Flying {
 struct InFlight {
     at: SimTime,
     seq: u64,
-    /// Whether a heap timer stands for this entry. The head always has
-    /// one; an entry that was head before an earlier arrival was put in
-    /// front of it keeps its own.
+    /// Whether a heap timer stands for this entry. Toward a switch the
+    /// head always has one, and an entry that was head before an
+    /// earlier arrival was put in front of it keeps its own; toward a
+    /// host every end cell has one.
     armed: bool,
     flying: Flying,
 }
@@ -203,8 +255,8 @@ struct Train {
     vci: u16,
     pdu_seq: u64,
     run: aal5::RunImage,
-    born: SimTime,
-    send_call: SimTime,
+    /// The send call's instant.
+    sent: SimTime,
     /// Arrival spacing of consecutive cells at the current hop:
     /// [`SimDuration::ZERO`] at the source (every cell is queued), the
     /// upstream cell time downstream.
@@ -214,16 +266,17 @@ struct Train {
 }
 
 impl Train {
-    /// Cell `k` in flight, as a window of `flat` (this run flattened
-    /// once by the caller), exactly as [`aal5::cells_from_run`] would cut
-    /// it — the fallback paths must produce bit-identical cells to the
-    /// ones the per-cell engine would have carried.
-    fn flying(&self, flat: &Bytes, k: usize) -> Flying {
-        Flying {
-            cell: aal5::cell_of(0, self.vci, self.pdu_seq, flat, k),
-            born: self.born,
-            send_call: self.send_call,
-        }
+    /// Cell `k` in flight, with the header the per-cell send path gives
+    /// it; cell 0 takes `flat`, this run flattened once by the caller,
+    /// as the per-cell path's cell 0 carries its flattened run.
+    fn cell(&self, k: usize, flat: &mut Option<Bytes>) -> Flying {
+        Flying::of_run(
+            self.vci,
+            self.pdu_seq,
+            (k, self.run.ncells),
+            self.sent,
+            flat,
+        )
     }
 }
 
@@ -238,8 +291,8 @@ impl Train {
 /// cell the instant it arrives.
 struct Expansion {
     train: Train,
-    /// The run flattened once: cells are windows of it.
-    flat: Bytes,
+    /// The run flattened once, until cell 0 takes it.
+    flat: Option<Bytes>,
     /// The link the cells arrive on.
     link: LinkId,
     seq_base: u64,
@@ -262,7 +315,7 @@ impl Expansion {
 
     /// Take cell `next` and move past it.
     fn take_next(&mut self) -> Flying {
-        let f = self.train.flying(&self.flat, self.next);
+        let f = self.train.cell(self.next, &mut self.flat);
         self.next += 1;
         f
     }
@@ -423,6 +476,13 @@ impl VcState {
     /// Record a cell drop; marks the owning PDU failed exactly once.
     fn drop_cell(&mut self, pdu_seq: u64) {
         self.stats.cells_dropped += 1;
+        self.fail_pdu(pdu_seq);
+    }
+
+    /// Mark a PDU failed, counting it once however often it fails. So
+    /// `pdus_failed` is the size of a set, the same in whatever order
+    /// the failures land.
+    fn fail_pdu(&mut self, pdu_seq: u64) {
         if self.failed_pdus.insert(pdu_seq) {
             self.stats.pdus_failed += 1;
         }
@@ -437,8 +497,14 @@ enum Rx {
     /// Cells `0..count` of one PDU, in order. Every cell of a PDU is a
     /// 48-byte window of the one buffer its run was flattened into, the
     /// previous cell's window followed by the next, so the run is
-    /// counted, not collected, and validated once as that buffer.
-    Run { first: Flying, count: usize },
+    /// counted, not collected, and validated once as that buffer, which
+    /// cell 0 brought.
+    Run {
+        pdu_seq: u64,
+        sent: SimTime,
+        run: Bytes,
+        count: usize,
+    },
     /// A PDU that lost a cell (a gap, or a first cell that is not cell
     /// 0): it fails when its end cell arrives.
     Broken { pdu_seq: u64 },
@@ -449,46 +515,38 @@ impl Rx {
     fn pdu_seq(&self) -> Option<u64> {
         match self {
             Rx::Empty => None,
-            Rx::Run { first, .. } => Some(first.cell.pdu_seq),
-            Rx::Broken { pdu_seq } => Some(*pdu_seq),
+            Rx::Run { pdu_seq, .. } | Rx::Broken { pdu_seq } => Some(*pdu_seq),
         }
     }
 
     fn push(&mut self, f: Flying) {
+        let h = f.header;
         match self {
-            Rx::Empty if f.cell.cell_index == 0 => *self = Rx::Run { first: f, count: 1 },
-            Rx::Run { first, count } if f.cell.cell_index as usize == *count => {
-                debug_assert!(
-                    Arc::ptr_eq(f.cell.payload.shared(), first.cell.payload.shared())
-                        && f.cell.payload.shared_range().0
-                            == first.cell.payload.shared_range().0 + *count * CELL_PAYLOAD,
-                    "a PDU's cells are consecutive windows of one buffer"
-                );
-                *count += 1;
-            }
-            Rx::Broken { .. } => {}
-            _ => {
-                *self = Rx::Broken {
-                    pdu_seq: f.cell.pdu_seq,
+            Rx::Empty if h.index == 0 => {
+                *self = Rx::Run {
+                    pdu_seq: h.pdu_seq,
+                    sent: f.sent,
+                    run: f.run.expect("cell 0 carries its flattened run"),
+                    count: 1,
                 }
             }
+            Rx::Run { count, .. } if h.index as usize == *count => *count += 1,
+            Rx::Broken { .. } => {}
+            _ => *self = Rx::Broken { pdu_seq: h.pdu_seq },
         }
     }
 
     /// Reassemble the buffered PDU (its end cell was the last pushed)
-    /// and empty the buffer; returns the first cell's send call with the
+    /// and empty the buffer; returns the PDU's send call with the
     /// payload.
     fn finish(&mut self) -> Result<(SimTime, Bytes), aal5::Aal5Error> {
         match std::mem::take(self) {
             Rx::Empty => unreachable!("an end cell was just buffered"),
-            Rx::Run { first, count } => {
-                let (base, _) = first.cell.payload.shared_range();
-                let run = Bytes::from_shared_range(
-                    Arc::clone(first.cell.payload.shared()),
-                    base,
-                    base + count * CELL_PAYLOAD,
-                );
-                aal5::reassemble_flat(run).map(|payload| (first.send_call, payload))
+            Rx::Run {
+                sent, run, count, ..
+            } => {
+                debug_assert_eq!(run.len(), count * CELL_PAYLOAD, "the whole run is in");
+                aal5::reassemble_flat(run).map(|payload| (sent, payload))
             }
             Rx::Broken { .. } => Err(aal5::Aal5Error::Incomplete),
         }
@@ -627,7 +685,6 @@ pub struct NetScratch {
     trains: Slab<Train>,
     expansions: Slab<Expansion>,
     flights: Vec<VecDeque<InFlight>>,
-    cell_scratch: Vec<AtmCell>,
 }
 
 /// The ATM network simulator.
@@ -663,8 +720,8 @@ pub struct AtmNetwork {
     /// equivalence witness for the batched scheduler).
     per_cell_only: bool,
     train_stats: TrainStats,
-    /// Reusable cell buffer for per-cell segmentation.
-    cell_scratch: Vec<AtmCell>,
+    /// Heap timers handled so far.
+    timer_events: u64,
 }
 
 impl AtmNetwork {
@@ -697,7 +754,7 @@ impl AtmNetwork {
             flights: scratch.flights,
             per_cell_only: false,
             train_stats: TrainStats::default(),
-            cell_scratch: scratch.cell_scratch,
+            timer_events: 0,
         }
     }
 
@@ -715,7 +772,6 @@ impl AtmNetwork {
             mut trains,
             mut expansions,
             mut flights,
-            mut cell_scratch,
             ..
         } = self;
         nodes.clear();
@@ -729,7 +785,6 @@ impl AtmNetwork {
         deliveries.clear();
         trains.clear();
         expansions.clear();
-        cell_scratch.clear();
         NetScratch {
             nodes,
             links,
@@ -740,7 +795,6 @@ impl AtmNetwork {
             trains,
             expansions,
             flights,
-            cell_scratch,
         }
     }
 
@@ -773,6 +827,13 @@ impl AtmNetwork {
     /// What the cell-train fast path has done so far.
     pub fn train_stats(&self) -> TrainStats {
         self.train_stats
+    }
+
+    /// Heap timers handled so far: the simulator's event count, which
+    /// its host time follows. Not a simulated quantity, so it stays out
+    /// of [`AtmNetwork::export_metrics`].
+    pub fn timer_events(&self) -> u64 {
+        self.timer_events
     }
 
     /// The installed fault plan.
@@ -829,7 +890,9 @@ impl AtmNetwork {
                 .collect();
             self.links.push(LinkState {
                 to,
+                to_host: !self.nodes[to.0 as usize].is_switch,
                 profile,
+                cell_time: profile.cell_time(),
                 queues,
                 busy: false,
                 utilization: TimeWeighted::new(),
@@ -947,8 +1010,7 @@ impl AtmNetwork {
                 vci: vc.0,
                 pdu_seq: seq,
                 run,
-                born: now,
-                send_call: now,
+                sent: now,
                 spacing: SimDuration::ZERO,
                 head_at: now,
             };
@@ -962,22 +1024,12 @@ impl AtmNetwork {
         // Exact per-cell path: short runs, tagged cells, a first hop
         // with RNG-coupled faults, or forced fallback.
         self.train_stats.per_cell_pdus += 1;
-        let mut cells = std::mem::take(&mut self.cell_scratch);
-        aal5::cells_from_run(0, vc.0, seq, &run, &mut cells);
-        if let Some(tags) = tags {
-            for (c, &t) in cells.iter_mut().zip(&tags) {
-                c.clp = t;
-            }
-        }
-        for cell in cells.drain(..) {
-            let flying = Flying {
-                cell,
-                born: now,
-                send_call: now,
-            };
+        let mut flat = Some(run.flatten());
+        for k in 0..ncells {
+            let mut flying = Flying::of_run(vc.0, seq, (k, ncells), now, &mut flat);
+            flying.header.clp = tags.as_ref().is_some_and(|t| t[k]);
             self.enqueue_cell(link, class, flying);
         }
-        self.cell_scratch = cells;
         Ok(seq)
     }
 
@@ -990,6 +1042,7 @@ impl AtmNetwork {
         }
         self.cur_seq = u64::MAX;
         self.now = to;
+        self.land_due();
         std::mem::take(&mut self.deliveries)
     }
 
@@ -1017,12 +1070,14 @@ impl AtmNetwork {
         if self.deliveries.is_empty() {
             self.now = to;
         }
+        self.land_due();
         out.append(&mut self.deliveries);
     }
 
     /// Pop the earliest timer and handle it.
     fn fire_next(&mut self) {
         let timer = self.timers.pop().expect("a pending timer");
+        self.timer_events += 1;
         self.now = timer.at;
         self.cur_seq = timer.seq;
         match timer.kind {
@@ -1037,15 +1092,21 @@ impl AtmNetwork {
         }
     }
 
-    /// True when no cells are queued or in flight.
+    /// True when no cells are queued or in flight (a cell waiting to
+    /// land at a host without a timer of its own is in flight).
     pub fn idle(&self) -> bool {
-        self.timers.is_empty()
+        self.timers.is_empty() && self.links.iter().all(|l| l.flight.is_empty())
     }
 
     /// Instant of the next internal event, if any — lets a driver advance
-    /// straight to it instead of polling in fixed steps.
+    /// straight to it instead of polling in fixed steps. A cell landing
+    /// at a host is an event at its arrival instant, timer or not.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.timers.peek().map(|t| t.at)
+        let landings = self.links.iter().filter_map(|l| l.flight.front());
+        (self.timers.peek().map(|t| t.at))
+            .into_iter()
+            .chain(landings.map(|f| f.at))
+            .min()
     }
 
     /// Run until the network drains or `deadline` passes; returns
@@ -1053,12 +1114,7 @@ impl AtmNetwork {
     pub fn drain(&mut self, deadline: SimTime) -> Vec<Delivery> {
         let mut out = Vec::new();
         while !self.idle() && self.now < deadline {
-            let next = self
-                .timers
-                .peek()
-                .map(|t| t.at)
-                .unwrap_or(deadline)
-                .min(deadline);
+            let next = self.next_event_time().unwrap_or(deadline).min(deadline);
             out.extend(self.advance(next));
         }
         out
@@ -1306,24 +1362,38 @@ impl AtmNetwork {
         self.timers.push(Timer { at, seq, kind });
     }
 
-    /// Put a cell in flight on `link_id`, arriving at `at`. It is
-    /// appended in key order (in practice always at the back) and armed
-    /// with a heap timer when it lands at the head.
+    /// Put a cell in flight on `link_id`, arriving at `at`, under the
+    /// next timer sequence number. It goes into the flight queue in key
+    /// order (in practice always at the back). Toward a switch it is
+    /// armed with a heap timer when it lands at the head; toward a host,
+    /// when it is an end cell.
     fn push_arrival(&mut self, link_id: LinkId, at: SimTime, flying: Flying) {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        let flight = &mut self.links[link_id.0 as usize].flight;
-        let pos = flight.iter().rposition(|f| f.at <= at).map_or(0, |i| i + 1);
-        let armed = pos == 0;
-        flight.insert(
-            pos,
-            InFlight {
-                at,
-                seq,
-                armed,
-                flying,
-            },
-        );
+        let link = &mut self.links[link_id.0 as usize];
+        let flight = &mut link.flight;
+        let pos = match flight.back() {
+            Some(tail) if tail.at > at => {
+                flight.iter().rposition(|f| f.at <= at).map_or(0, |i| i + 1)
+            }
+            _ => flight.len(),
+        };
+        let armed = if link.to_host {
+            flying.header.end
+        } else {
+            pos == 0
+        };
+        let entry = InFlight {
+            at,
+            seq,
+            armed,
+            flying,
+        };
+        if pos == flight.len() {
+            flight.push_back(entry);
+        } else {
+            flight.insert(pos, entry);
+        }
         if armed {
             self.schedule_keyed((at, seq), TimerKind::Arrive(link_id.0));
         }
@@ -1331,13 +1401,13 @@ impl AtmNetwork {
 
     fn enqueue_cell(&mut self, link_id: LinkId, class: ServiceClass, flying: Flying) {
         self.split_streams(link_id);
-        let vc = VcId(flying.cell.vci);
+        let vc = VcId(flying.header.vci);
         let link = &mut self.links[link_id.0 as usize];
         let queue = &mut link.queues[class.priority()];
         // Early discard of tagged cells under congestion (90 % occupancy).
         let congested = queue.len_cells * 10 >= queue.capacity * 9;
-        if flying.cell.clp && congested {
-            let seq = flying.cell.pdu_seq;
+        if flying.header.clp && congested {
+            let seq = flying.header.pdu_seq;
             if let Some(s) = self.vc_mut(vc) {
                 s.drop_cell(seq);
             }
@@ -1345,7 +1415,7 @@ impl AtmNetwork {
         }
         if let Some(bounced) = queue.offer_cell(flying) {
             // Tail drop.
-            let seq = bounced.cell.pdu_seq;
+            let seq = bounced.header.pdu_seq;
             if let Some(s) = self.vc_mut(vc) {
                 s.drop_cell(seq);
             }
@@ -1403,7 +1473,7 @@ impl AtmNetwork {
         let link = &mut self.links[link_id.0 as usize];
         link.busy = true;
         link.utilization.set(now, 1);
-        let cell_time = link.profile.cell_time();
+        let cell_time = link.cell_time;
         let queued = link.queues.iter().map(|q| q.len_cells as u64).sum();
         let faulted = link.faults.as_ref().is_some_and(|f| f.is_down(now));
         link.telemetry
@@ -1415,9 +1485,9 @@ impl AtmNetwork {
     /// Expand a train back into per-cell queue entries at the front of
     /// `q`, preserving cell order. Occupancy in cells is unchanged.
     fn expand_train_into_queue(q: &mut TxQueue, t: Train) {
-        let flat = t.run.flatten();
+        let mut flat = Some(t.run.flatten());
         for k in (0..t.run.ncells).rev() {
-            q.push_front_cell(t.flying(&flat, k));
+            q.push_front_cell(t.cell(k, &mut flat));
         }
     }
 
@@ -1440,7 +1510,7 @@ impl AtmNetwork {
         let Some(faults) = &link.faults else {
             return true;
         };
-        let first = now + link.profile.cell_time();
+        let first = now + link.cell_time;
         let last = now + link.profile.train_time(n as u64);
         faults.is_down_only()
             && !faults
@@ -1465,7 +1535,7 @@ impl AtmNetwork {
         let n = train.run.ncells;
         let link = &mut self.links[link_id.0 as usize];
         link.busy = true;
-        let ct = link.profile.cell_time();
+        let ct = link.cell_time;
         let ct_us = ct.as_micros();
         // The per-cell path sets the busy flag at every cell's serve
         // start; it stays 1 through the run, so one sample books it all.
@@ -1483,7 +1553,7 @@ impl AtmNetwork {
         }
         let line_noise = ChanceThreshold::new(link.profile.loss_rate);
         let prop = link.profile.prop_delay;
-        let to_switch = self.nodes[link.to.0 as usize].is_switch;
+        let to_switch = !link.to_host;
         let done_at = s + link.profile.train_time(n as u64);
         // One line-noise draw per cell, in cell order — the RNG stream
         // stays count- and order-identical to the per-cell path.
@@ -1521,7 +1591,7 @@ impl AtmNetwork {
         // fails exactly as it would have on the slow path.
         self.train_stats.line_loss_fallbacks += 1;
         let vc = VcId(train.vci);
-        let flat = train.run.flatten();
+        let mut flat = Some(train.run.flatten());
         let mut lost_iter = lost.iter().copied().peekable();
         for k in 0..n {
             if lost_iter.peek() == Some(&k) {
@@ -1533,7 +1603,7 @@ impl AtmNetwork {
                 continue;
             }
             let at = s + SimDuration::from_micros(ct_us * (k as u64 + 1)) + prop;
-            self.push_arrival(link_id, at, train.flying(&flat, k));
+            self.push_arrival(link_id, at, train.cell(k, &mut flat));
         }
     }
 
@@ -1541,7 +1611,7 @@ impl AtmNetwork {
     /// path would start serving the last cell: allocate the completion
     /// event's sequence number now, exactly as `start_tx` would.
     fn train_wind(&mut self, link_id: LinkId, tid: u32) {
-        let ct = self.links[link_id.0 as usize].profile.cell_time();
+        let ct = self.links[link_id.0 as usize].cell_time;
         self.schedule(self.now + ct, TimerKind::TrainTxDone(link_id.0, tid));
     }
 
@@ -1599,7 +1669,7 @@ impl AtmNetwork {
         };
         self.split_streams(next_link);
         let nl = &self.links[next_link.0 as usize];
-        let ct2 = nl.profile.cell_time();
+        let ct2 = nl.cell_time;
         // Structurally clear: trains allowed on the hop, nothing queued
         // ahead, no higher-priority VC routed over it, and the egress
         // cell rate matches the arrival spacing — the run will drain
@@ -1678,7 +1748,7 @@ impl AtmNetwork {
         let now = self.now;
         let nl = &self.links[next_link.0 as usize];
         let fits = !Self::trains_allowed(nl)
-            && nl.profile.cell_time() == train.spacing
+            && nl.cell_time == train.spacing
             && nl.queues[class.priority()].capacity > 0;
         let behind = |s: &Expansion| {
             s.next == s.ncells() && s.key(s.ncells()).0 == now && nl.next_stream.is_none()
@@ -1707,7 +1777,7 @@ impl AtmNetwork {
         let seq_base = self.timer_seq;
         self.timer_seq += train.run.ncells as u64 - 1;
         Expansion {
-            flat: train.run.flatten(),
+            flat: Some(train.run.flatten()),
             train,
             link: from,
             seq_base,
@@ -1737,7 +1807,7 @@ impl AtmNetwork {
         } else {
             self.expansions.take(id);
         }
-        self.cell_arrives(link, flying);
+        self.at_switch(link, flying);
     }
 
     /// Serve the next cell of the train streaming across this hop, from
@@ -1798,6 +1868,9 @@ impl AtmNetwork {
         let Some(train) = self.trains.take(tid) else {
             return;
         };
+        // Cells that reached this host before the train's last one come
+        // first: one may carry the end of the PDU being received.
+        self.land(link_id, (self.now, self.cur_seq));
         let now = self.now;
         let n = train.run.ncells;
         let node_id = self.links[link_id.0 as usize].to;
@@ -1816,9 +1889,7 @@ impl AtmNetwork {
         // upstream): flush on sequence change, as the per-cell first-cell
         // arrival would.
         if let Some(stale) = state.rx.pdu_seq().filter(|&s| s != this_seq) {
-            if state.failed_pdus.insert(stale) {
-                state.stats.pdus_failed += 1;
-            }
+            state.fail_pdu(stale);
             state.rx = Rx::Empty;
         }
         state.stats.cells_delivered += n as u64;
@@ -1826,7 +1897,7 @@ impl AtmNetwork {
         state
             .stats
             .ctd
-            .record_run(train.head_at.since(train.born), train.spacing, n as u64);
+            .record_run(train.head_at.since(train.sent), train.spacing, n as u64);
         match aal5::reassemble_run(train.run) {
             Ok(parts) => {
                 let payload = PartList::from(parts);
@@ -1835,7 +1906,7 @@ impl AtmNetwork {
                 state
                     .stats
                     .pdu_latency
-                    .record(now.since(train.send_call).as_secs_f64());
+                    .record(now.since(train.sent).as_secs_f64());
                 self.deliveries.push(Delivery {
                     at: now,
                     vc,
@@ -1843,11 +1914,7 @@ impl AtmNetwork {
                     payload,
                 });
             }
-            Err(_) => {
-                if state.failed_pdus.insert(this_seq) {
-                    state.stats.pdus_failed += 1;
-                }
-            }
+            Err(_) => state.fail_pdu(this_seq),
         }
     }
 
@@ -1867,8 +1934,8 @@ impl AtmNetwork {
         };
         match injected {
             Some(_) => {
-                let vc = VcId(flying.cell.vci);
-                let seq = flying.cell.pdu_seq;
+                let vc = VcId(flying.header.vci);
+                let seq = flying.header.pdu_seq;
                 if let Some(s) = self.vc_mut(vc) {
                     s.drop_cell(seq);
                 }
@@ -1940,86 +2007,113 @@ impl AtmNetwork {
         at
     }
 
-    /// The head of the link's flight queue arrives; the next one, if
-    /// any, takes the heap timer.
+    /// An armed cell arrives. Toward a switch it is the head of the
+    /// link's flight queue, and the next one, if any, takes the heap
+    /// timer; toward a host it is an end cell, and the cells ahead of it
+    /// land first.
     fn arrive(&mut self, link_id: LinkId) {
-        let flight = &mut self.links[link_id.0 as usize].flight;
-        let Some(head) = flight.pop_front() else {
+        let key = (self.now, self.cur_seq);
+        let link = &mut self.links[link_id.0 as usize];
+        if link.to_host {
+            debug_assert!(link.flight.iter().any(|f| (f.at, f.seq) == key && f.armed));
+            self.land(link_id, key);
+            return;
+        }
+        let Some(head) = link.flight.pop_front() else {
             return;
         };
-        debug_assert_eq!((head.at, head.seq), (self.now, self.cur_seq));
-        if let Some(next) = flight.front_mut().filter(|f| !f.armed) {
+        debug_assert_eq!((head.at, head.seq), key);
+        if let Some(next) = link.flight.front_mut().filter(|f| !f.armed) {
             next.armed = true;
             let key = (next.at, next.seq);
             self.schedule_keyed(key, TimerKind::Arrive(link_id.0));
         }
-        self.cell_arrives(link_id, head.flying);
+        self.at_switch(link_id, head.flying);
     }
 
-    /// A cell reaches the far end of `link_id`: a switch queues it on
-    /// the VC's next hop; the destination host reassembles.
-    fn cell_arrives(&mut self, link_id: LinkId, flying: Flying) {
-        let node_id = self.links[link_id.0 as usize].to;
-        let vc = VcId(flying.cell.vci);
-        let node = &self.nodes[node_id.0 as usize];
-        if node.is_switch {
-            let Some(next_link) = node.route(vc) else {
-                // Misrouted cell: drop.
-                let seq = flying.cell.pdu_seq;
-                if let Some(s) = self.vc_mut(vc) {
-                    s.drop_cell(seq);
-                }
+    /// Land the cells on host-bound `link_id` keyed at or below `key`,
+    /// in key order, each at its own arrival instant. A landing only
+    /// counts the cell, records its transfer delay and extends its
+    /// PDU's reassembly, which no other event reads, so the cells ahead
+    /// of an end cell wait without timers. They land before anything
+    /// reads what they change: their link's next end cell or train
+    /// delivery, or the caller, once the clock rests past them.
+    fn land(&mut self, link_id: LinkId, key: (SimTime, u64)) {
+        let li = link_id.0 as usize;
+        while let Some(f) = self.links[li].flight.front() {
+            if (f.at, f.seq) > key {
                 return;
-            };
-            let class = self.class_of(vc);
-            self.enqueue_cell(next_link, class, flying);
-            return;
+            }
+            let f = self.links[li].flight.pop_front().expect("a front entry");
+            self.at_host(link_id, f.at, f.flying);
         }
-        // Destination host: account and reassemble.
-        let now = self.now;
+    }
+
+    /// Land every cell due by the clock at rest.
+    fn land_due(&mut self) {
+        for li in 0..self.links.len() {
+            let link = &self.links[li];
+            if link.to_host && link.flight.front().is_some_and(|f| f.at <= self.now) {
+                self.land(LinkId(li as u32), (self.now, u64::MAX));
+            }
+        }
+    }
+
+    /// A cell reaches the switch at the far end of `link_id`: it queues
+    /// on the VC's next hop.
+    fn at_switch(&mut self, link_id: LinkId, flying: Flying) {
+        let node_id = self.links[link_id.0 as usize].to;
+        let vc = VcId(flying.header.vci);
+        let Some(next_link) = self.nodes[node_id.0 as usize].route(vc) else {
+            // Misrouted cell: drop.
+            let seq = flying.header.pdu_seq;
+            if let Some(s) = self.vc_mut(vc) {
+                s.drop_cell(seq);
+            }
+            return;
+        };
+        let class = self.class_of(vc);
+        self.enqueue_cell(next_link, class, flying);
+    }
+
+    /// A cell reaches the destination host at the far end of `link_id`
+    /// at `at`: account and reassemble.
+    fn at_host(&mut self, link_id: LinkId, at: SimTime, flying: Flying) {
+        let node_id = self.links[link_id.0 as usize].to;
+        let h = flying.header;
+        let vc = VcId(h.vci);
         let Some(state) = self.vcs.get_mut((vc.0 as usize).wrapping_sub(1)) else {
             return;
         };
         if state.dst != node_id {
-            state.drop_cell(flying.cell.pdu_seq);
+            state.drop_cell(h.pdu_seq);
             return;
         }
         state.stats.cells_delivered += 1;
-        state.stats.ctd.record(now.since(flying.born));
-        let is_end = flying.cell.pdu_end;
-        let this_seq = flying.cell.pdu_seq;
+        state.stats.ctd.record(at.since(flying.sent));
         // Cells of an older PDU that lost its end cell: flush on seq change.
-        if let Some(stale) = state.rx.pdu_seq().filter(|&s| s != this_seq) {
-            if state.failed_pdus.insert(stale) {
-                state.stats.pdus_failed += 1;
-            }
+        if let Some(stale) = state.rx.pdu_seq().filter(|&s| s != h.pdu_seq) {
+            state.fail_pdu(stale);
             state.rx = Rx::Empty;
         }
         state.rx.push(flying);
-        if !is_end {
+        if !h.end {
             return;
         }
         match state.rx.finish() {
-            Ok((send_call, payload)) => {
+            Ok((sent, payload)) => {
                 let payload = PartList::from(payload);
                 state.stats.pdus_delivered += 1;
                 state.stats.bytes_delivered += payload.len() as u64;
-                state
-                    .stats
-                    .pdu_latency
-                    .record(now.since(send_call).as_secs_f64());
+                state.stats.pdu_latency.record(at.since(sent).as_secs_f64());
                 self.deliveries.push(Delivery {
-                    at: now,
+                    at,
                     vc,
                     node: node_id,
                     payload,
                 });
             }
-            Err(_) => {
-                if state.failed_pdus.insert(this_seq) {
-                    state.stats.pdus_failed += 1;
-                }
-            }
+            Err(_) => state.fail_pdu(h.pdu_seq),
         }
     }
 }
@@ -2458,5 +2552,237 @@ mod tests {
         assert!(d
             .iter()
             .any(|x| x.node == a && x.payload.to_vec() == b"pong"));
+    }
+
+    // ---- landings at a host: cells ahead of an end cell wait untimed ----
+
+    /// FNV-1a over `bytes`, continuing from `h`.
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Fold what a caller can see of `net` at rest: every delivery
+    /// since the last step, each VC's delivered cells, CTD mean and CDV
+    /// and failed PDUs, `idle()` and `next_event_time()`.
+    fn fold_rest(mut h: u64, net: &AtmNetwork, vcs: &[VcId], deliveries: &[Delivery]) -> u64 {
+        for d in deliveries {
+            h = fnv(h, &d.at.as_micros().to_le_bytes());
+            h = fnv(h, &d.vc.0.to_le_bytes());
+            h = fnv(h, &(d.payload.len() as u64).to_le_bytes());
+        }
+        for &vc in vcs {
+            let s = net.vc_stats(vc).expect("vc");
+            h = fnv(h, &s.cells_delivered.to_le_bytes());
+            h = fnv(h, &s.ctd.mean().to_bits().to_le_bytes());
+            h = fnv(h, &s.cdv().to_bits().to_le_bytes());
+            h = fnv(h, &s.pdus_failed.to_le_bytes());
+        }
+        h = fnv(h, &[u8::from(net.idle())]);
+        let next = net.next_event_time().map_or(u64::MAX, SimTime::as_micros);
+        fnv(h, &next.to_le_bytes())
+    }
+
+    /// A small LCG for irregular step lengths.
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *x >> 33
+    }
+
+    /// Step `net` to `until` in irregular increments drawn from `rng`,
+    /// folding the state at rest after every step.
+    fn step_until(
+        mut h: u64,
+        net: &mut AtmNetwork,
+        vcs: &[VcId],
+        until: SimTime,
+        rng: &mut u64,
+    ) -> u64 {
+        while net.now() < until {
+            let r = lcg(rng);
+            let len = if r.is_multiple_of(7) {
+                300 + r % 900
+            } else {
+                1 + r % 37
+            };
+            let to = (net.now() + SimDuration::from_micros(len)).min(until);
+            let d = net.advance(to);
+            h = fold_rest(h, net, vcs, &d);
+        }
+        h
+    }
+
+    /// A 10-cell PDU on `a → s → b` at 0 µs; OC-3 cells take 3 µs and
+    /// hops 100 µs, so cell k finishes on `s → b` at 106 + 3k and lands
+    /// at `b` at 206 + 3k. `faults` sit on `s → b`.
+    fn last_hop_net(faults: LinkFaults, per_cell: bool) -> (AtmNetwork, NodeId, NodeId, VcId) {
+        let (mut net, a, s, b) = small_net();
+        net.set_fault_plan(FaultPlan::none().with_link(s, b, faults));
+        if per_cell {
+            net.force_per_cell();
+        }
+        let vc = net.open_vc(&[a, s, b], ServiceClass::Ubr, None).unwrap();
+        (net, s, b, vc)
+    }
+
+    /// A down window over the 10-cell PDU's last `s → b` finish (133 µs).
+    const END_CELL_DOWN: (SimTime, SimTime) =
+        (SimTime::from_micros(133), SimTime::from_micros(134));
+
+    /// The three edge cases of batched landings, each stepped in both
+    /// modes: an end cell lost on a lossy last hop, a stale partial PDU
+    /// followed by the next PDU's cells, and a train delivered right
+    /// behind cells still waiting to land.
+    fn edge_case_digest(mut h: u64, per_cell: bool, rng: &mut u64) -> u64 {
+        let (from, until) = END_CELL_DOWN;
+        // The end cell dies in the down window on a lossy hop (which
+        // the run streams across); a 19-cell PDU follows and flushes
+        // the stale one when its first cell lands.
+        let lossy = LinkFaults::loss(1e-12).with_down(from, until);
+        let (mut net, _, _, vc) = last_hop_net(lossy, per_cell);
+        net.send(vc, &[Bytes::from(vec![1u8; 450])]).unwrap();
+        h = step_until(h, &mut net, &[vc], SimTime::from_micros(10), rng);
+        net.send(vc, &[Bytes::from(vec![2u8; 900])]).unwrap();
+        h = step_until(h, &mut net, &[vc], SimTime::from_millis(2), rng);
+        // The same end cell dies on a down-only hop, which trains may
+        // use: the 40-cell PDU behind it crosses as a train and is
+        // delivered right behind the first PDU's cells.
+        let down_only = LinkFaults::default().with_down(from, until);
+        let (mut net, _, _, vc) = last_hop_net(down_only, per_cell);
+        net.send(vc, &[Bytes::from(vec![3u8; 450])]).unwrap();
+        h = step_until(h, &mut net, &[vc], SimTime::from_micros(10), rng);
+        net.send(vc, &[Bytes::from(vec![4u8; 1_900])]).unwrap();
+        step_until(h, &mut net, &[vc], SimTime::from_millis(2), rng)
+    }
+
+    /// One seeded run: three VCs over a switch whose `s`–`dst` hop
+    /// loses 2% of cells both ways, PDUs of 10 B to 20 kB sent at
+    /// irregular instants, the clock stepped irregularly throughout.
+    fn lossy_sweep_digest(mut h: u64, seed: u64, per_cell: bool) -> u64 {
+        let mut net = AtmNetwork::new(seed);
+        let a = net.add_host("a");
+        let b = net.add_host("b");
+        let s = net.add_switch("s");
+        let dst = net.add_host("dst");
+        for host in [a, b, dst] {
+            net.connect(host, s, LinkProfile::atm_oc3());
+        }
+        let lossy = LinkFaults::loss(0.02);
+        net.set_fault_plan(
+            FaultPlan::none()
+                .with_link(s, dst, lossy.clone())
+                .with_link(dst, s, lossy),
+        );
+        if per_cell {
+            net.force_per_cell();
+        }
+        let vcs = [
+            net.open_vc(&[a, s, dst], ServiceClass::Ubr, None).unwrap(),
+            net.open_vc(&[b, s, dst], ServiceClass::Vbr, None).unwrap(),
+            net.open_vc(&[dst, s, a], ServiceClass::Ubr, None).unwrap(),
+        ];
+        let mut rng = seed ^ 0x5eed;
+        for i in 0..8 {
+            let r = lcg(&mut rng);
+            let size = match r % 4 {
+                0 => 10 + r % 150,
+                _ => 200 + r % 20_000,
+            } as usize;
+            let vc = vcs[(r as usize / 4 + i) % 3];
+            net.send(vc, &[Bytes::from(vec![i as u8; size])]).unwrap();
+            let until = net.now() + SimDuration::from_micros(lcg(&mut rng) % 2_000);
+            h = step_until(h, &mut net, &vcs, until, &mut rng);
+        }
+        step_until(h, &mut net, &vcs, SimTime::from_millis(40), &mut rng)
+    }
+
+    /// Recorded from the scheduler that gave every cell landing at a
+    /// host its own timer.
+    const LANDING_DIGEST: u64 = 0x7522_9836_0285_055f;
+
+    /// Stepping the clock anywhere shows the same state at rest as the
+    /// scheduler that gave every landing its own timer: the digest was
+    /// recorded from it.
+    #[test]
+    fn landings_at_rest_match_the_timed_scheduler() {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for per_cell in [false, true] {
+            for seed in 0..4 {
+                let mut rng = seed;
+                h = edge_case_digest(h, per_cell, &mut rng);
+            }
+            for seed in 0..40 {
+                h = lossy_sweep_digest(h, seed, per_cell);
+            }
+        }
+        assert_eq!(h, LANDING_DIGEST, "landing digest {h:#018x}");
+    }
+
+    #[test]
+    fn cells_ahead_of_a_lost_end_cell_land_without_timers() {
+        let (from, until) = END_CELL_DOWN;
+        for per_cell in [false, true] {
+            let lossy = LinkFaults::loss(1e-12).with_down(from, until);
+            let (mut net, _, _, vc) = last_hop_net(lossy, per_cell);
+            net.send(vc, &[Bytes::from(vec![1u8; 450])]).unwrap();
+            net.advance(SimTime::from_micros(140));
+            assert!(net.timers.is_empty(), "no landing has a timer");
+            assert_eq!(net.vc_stats(vc).unwrap().pdus_failed, 1);
+            for k in 0..9u64 {
+                let stats = net.vc_stats(vc).unwrap();
+                assert_eq!(stats.cells_delivered, k, "per_cell {per_cell}");
+                assert!(!net.idle(), "cell {k} is still in flight");
+                assert_eq!(
+                    net.next_event_time(),
+                    Some(SimTime::from_micros(206 + 3 * k))
+                );
+                net.advance(SimTime::from_micros(206 + 3 * k));
+            }
+            assert_eq!(net.vc_stats(vc).unwrap().cells_delivered, 9);
+            assert!(net.idle());
+            assert_eq!(net.next_event_time(), None);
+            if !per_cell {
+                assert_eq!(net.train_stats().streamed, 1, "the run streams to b");
+            }
+            // The next PDU's first cell flushes the stale one.
+            net.send(vc, &[Bytes::from(vec![2u8; 900])]).unwrap();
+            let d = net.drain(SimTime::from_millis(2));
+            assert_eq!(d.len(), 1);
+            let stats = net.vc_stats(vc).unwrap();
+            assert_eq!((stats.pdus_delivered, stats.pdus_failed), (1, 1));
+            assert_eq!(stats.cells_delivered, 9 + 19);
+        }
+    }
+
+    #[test]
+    fn a_train_delivery_lands_the_cells_ahead_of_it_first() {
+        let (from, until) = END_CELL_DOWN;
+        let down_only = LinkFaults::default().with_down(from, until);
+        let (mut net, s, b, vc) = last_hop_net(down_only, false);
+        net.send(vc, &[Bytes::from(vec![3u8; 450])]).unwrap();
+        net.advance(SimTime::from_micros(10));
+        net.send(vc, &[Bytes::from(vec![4u8; 1_900])]).unwrap();
+        // Handle timers one by one, up to the train's delivery.
+        loop {
+            let delivers = matches!(
+                net.timers.peek().expect("a timer").kind,
+                TimerKind::TrainDeliver(..)
+            );
+            net.fire_next();
+            if delivers {
+                break;
+            }
+        }
+        let link = net.link_index[&(s, b)];
+        assert!(net.links[link.0 as usize].flight.is_empty());
+        let stats = net.vc_stats(vc).unwrap();
+        assert_eq!(stats.cells_delivered, 9 + 40);
+        assert_eq!((stats.pdus_delivered, stats.pdus_failed), (1, 1));
+        assert_eq!(net.deliveries.len(), 1);
     }
 }

@@ -1001,13 +1001,15 @@ enum NetStage {
 }
 
 /// Throughput of a 200 KB PDU crossing host → switch → host on OC-3,
-/// in MB/s, in the given mode.
-fn net_stage_mbps(stage: NetStage) -> f64 {
-    use mits_atm::{AtmNetwork, FaultPlan, LinkFaults, ServiceClass};
+/// in MB/s, in the given mode, and the timer events one crossing
+/// handles per cell (a count: the same on every run).
+fn net_stage(stage: NetStage) -> (f64, f64) {
+    use mits_atm::{aal5, AtmNetwork, FaultPlan, LinkFaults, ServiceClass};
     const BYTES: usize = 200 * 1024;
     let payload = Bytes::from(vec![7u8; BYTES]);
     let mut scratch = mits_atm::NetScratch::default();
-    stage_mbps(BYTES, || {
+    let mut events_per_cell = 0.0;
+    let mbps = stage_mbps(BYTES, || {
         let mut net = AtmNetwork::with_scratch(1, std::mem::take(&mut scratch));
         let a = net.add_host("A");
         let s = net.add_switch("S");
@@ -1025,8 +1027,10 @@ fn net_stage_mbps(stage: NetStage) -> f64 {
         net.send(vc, std::slice::from_ref(&payload)).unwrap();
         let d = net.drain(SimTime::from_secs(60));
         assert_eq!(d.len(), 1, "200 KB PDU must cross");
+        events_per_cell = net.timer_events() as f64 / aal5::cells_for(BYTES) as f64;
         scratch = net.into_scratch();
-    })
+    });
+    (mbps, events_per_cell)
 }
 
 /// MEDIA: per-stage throughput of the media path — the CRC kernels, AAL5
@@ -1059,12 +1063,12 @@ fn media(opts: &Options) {
             std::hint::black_box(aal5::reassemble_run(run.clone()).unwrap());
         })
     };
-    let net_train = net_stage_mbps(NetStage::Train);
-    let net_per_cell = net_stage_mbps(NetStage::PerCell);
-    let net_lossy = net_stage_mbps(NetStage::Lossy);
+    let (net_train, _) = net_stage(NetStage::Train);
+    let (net_per_cell, _) = net_stage(NetStage::PerCell);
+    let (net_lossy, lossy_events_per_cell) = net_stage(NetStage::Lossy);
     let fetch = fetch_microbench();
     let json = format!(
-        "{{\n  \"experiment\": \"media\",\n  \"crc_hw_accelerated\": {},\n  \"crc_slice16_mbps\": {:.1},\n  \"crc_dispatch_mbps\": {:.1},\n  \"segment_mbps\": {:.1},\n  \"reassemble_mbps\": {:.1},\n  \"net_train_mbps\": {:.1},\n  \"net_per_cell_mbps\": {:.1},\n  \"train_speedup\": {:.2},\n  \"net_lossy_mbps\": {:.1},\n  \"lossy_speedup\": {:.2},\n  \"fetch200k_kbps\": {:.1},\n  \"fetch200k_kbps_min\": {:.1},\n  \"fetch200k_kbps_max\": {:.1}\n}}\n",
+        "{{\n  \"experiment\": \"media\",\n  \"crc_hw_accelerated\": {},\n  \"crc_slice16_mbps\": {:.1},\n  \"crc_dispatch_mbps\": {:.1},\n  \"segment_mbps\": {:.1},\n  \"reassemble_mbps\": {:.1},\n  \"net_train_mbps\": {:.1},\n  \"net_per_cell_mbps\": {:.1},\n  \"train_speedup\": {:.2},\n  \"net_lossy_mbps\": {:.1},\n  \"lossy_speedup\": {:.2},\n  \"lossy_events_per_cell\": {:.3},\n  \"fetch200k_kbps\": {:.1},\n  \"fetch200k_kbps_min\": {:.1},\n  \"fetch200k_kbps_max\": {:.1}\n}}\n",
         aal5::crc32_is_hw_accelerated(),
         crc_slice16,
         crc_dispatch,
@@ -1075,6 +1079,7 @@ fn media(opts: &Options) {
         net_train / net_per_cell.max(1e-9),
         net_lossy,
         net_lossy / net_per_cell.max(1e-9),
+        lossy_events_per_cell,
         fetch.median,
         fetch.min,
         fetch.max,

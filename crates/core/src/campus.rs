@@ -864,15 +864,21 @@ impl Campus {
                         }
                         Ok(Err(e)) => {
                             cursor.store(n_batches, Ordering::Relaxed);
-                            let mut f = fatal.lock().expect("campus fatal");
-                            if f.is_none() {
-                                *f = Some(e);
+                            if let Ok(mut f) = fatal.lock() {
+                                f.get_or_insert(e);
                             }
                             return;
                         }
                     }
                 }
-                merge.lock().expect("campus merge").complete(b, out);
+                // The sink runs under the merge lock: if it panicked in
+                // another worker, the lock is poisoned. Stop the pool;
+                // `run_with` re-raises that panic.
+                let Ok(mut state) = merge.lock() else {
+                    cursor.store(n_batches, Ordering::Relaxed);
+                    return;
+                };
+                state.complete(b, out);
             }
         };
 
@@ -880,11 +886,14 @@ impl Campus {
             work();
         } else {
             let work = &work;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
+            let panicked = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+                joined.into_iter().find_map(Result::err)
             });
+            if let Some(payload) = panicked {
+                panic::resume_unwind(payload);
+            }
         }
 
         if let Some(e) = fatal.into_inner().expect("campus fatal") {

@@ -928,7 +928,7 @@ impl MitsSystem {
             }
             let (frames, _) = wal::read_frames(&wal_bytes);
             for (seq, rec) in &frames {
-                let frame = wal::encode_frame(*seq, &rec.encode());
+                let frame = wal::record_frame(*seq, rec);
                 let _ = db.apply_shipped(&frame);
             }
             // Fold the resynced state into this server's own snapshot so

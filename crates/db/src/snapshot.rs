@@ -17,7 +17,7 @@
 //! with `seq < through_seq` is folded into the snapshot, so recovery
 //! applies only WAL records with `seq >= through_seq` on top.
 
-use crate::wal::{encode_frame, read_frames, ReplayReport, WalRecord};
+use crate::wal::{put_record_frame, read_frames, ReplayReport, WalRecord, FRAME_HEADER};
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Snapshot file magic ("MSNP").
@@ -26,14 +26,18 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D53_4E50;
 /// Serialize a snapshot holding `records`, folding the log up to (not
 /// including) `through_seq`.
 pub fn write_snapshot(through_seq: u64, records: &[WalRecord]) -> Bytes {
-    let mut out = BytesMut::with_capacity(12 + records.len() * 64);
+    let frames: usize = records
+        .iter()
+        .map(|rec| FRAME_HEADER + 8 + rec.len_hint())
+        .sum();
+    let mut out = BytesMut::with_capacity(12 + frames);
     out.put_u32(SNAPSHOT_MAGIC);
     out.put_u64(through_seq);
     for rec in records {
         // Snapshot frames reuse the journal cursor as their seq: they
         // represent "state as of through_seq", and replaying them is
         // idempotent regardless of the number.
-        out.put_slice(&encode_frame(through_seq, &rec.encode()));
+        put_record_frame(&mut out, through_seq, rec);
     }
     out.freeze()
 }

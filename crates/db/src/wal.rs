@@ -282,7 +282,22 @@ const TAG_BOOKMARK_REMOVE: u8 = 5;
 impl WalRecord {
     /// Encode the record payload (no frame header).
     pub fn encode(&self) -> Bytes {
-        let mut w = BytesMut::with_capacity(64);
+        let mut w = BytesMut::with_capacity(self.len_hint());
+        self.encode_into(&mut w);
+        w.freeze()
+    }
+
+    /// The encoded payload's length for a media record, whose clip
+    /// dominates it; a small guess for the others.
+    pub(crate) fn len_hint(&self) -> usize {
+        match self {
+            WalRecord::PutContent { media } => 34 + media.name.len() + media.data.len(),
+            _ => 64,
+        }
+    }
+
+    /// Write the record payload at the end of `w`.
+    fn encode_into(&self, w: &mut BytesMut) {
         match self {
             WalRecord::PutObject { object } => {
                 w.put_u8(TAG_PUT_OBJECT);
@@ -298,7 +313,7 @@ impl WalRecord {
             WalRecord::PutContent { media } => {
                 w.put_u8(TAG_PUT_CONTENT);
                 w.put_u64(media.id.0);
-                put_str(&mut w, &media.name);
+                put_str(w, &media.name);
                 w.put_u8(media.format.wire_tag());
                 w.put_u64(media.duration.as_micros());
                 w.put_u32(media.dims.width);
@@ -325,7 +340,7 @@ impl WalRecord {
                     }
                     None => w.put_u8(0),
                 }
-                put_str(&mut w, note);
+                put_str(w, note);
             }
             WalRecord::BookmarkRemove { student, id } => {
                 w.put_u8(TAG_BOOKMARK_REMOVE);
@@ -333,7 +348,6 @@ impl WalRecord {
                 w.put_u32(*id);
             }
         }
-        w.freeze()
     }
 
     /// Decode a record payload.
@@ -464,15 +478,40 @@ impl<'a> Rd<'a> {
 /// Bytes of frame header before the checksummed region.
 pub const FRAME_HEADER: usize = 8;
 
+/// The frame writer: append a frame carrying `seq` to `out`, with
+/// `body` writing its payload straight into place, then fill in the
+/// length and the checksum.
+fn put_frame(out: &mut BytesMut, seq: u64, body: impl FnOnce(&mut BytesMut)) {
+    let start = out.len();
+    out.put_u32(0); // length and checksum, filled in once the body is in place
+    out.put_u32(0);
+    out.put_u64(seq);
+    body(out);
+    let len = (out.len() - start - FRAME_HEADER) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    let crc = crc32(&out[start + FRAME_HEADER..]);
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_be_bytes());
+}
+
 /// Wrap a record payload in a checksummed frame carrying `seq`.
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Bytes {
     let mut f = BytesMut::with_capacity(FRAME_HEADER + 8 + payload.len());
-    f.put_u32((8 + payload.len()) as u32);
-    f.put_u32(0); // checksum, filled in once the body is in place
-    f.put_u64(seq);
-    f.put_slice(payload);
-    let crc = crc32(&f[FRAME_HEADER..]);
-    f[4..FRAME_HEADER].copy_from_slice(&crc.to_be_bytes());
+    put_frame(&mut f, seq, |w| w.put_slice(payload));
+    f.freeze()
+}
+
+/// Append `rec` to `out` as a frame carrying `seq`, the record written
+/// straight into it: the same bytes as `encode_frame(seq, &rec.encode())`
+/// without the record's own buffer.
+pub(crate) fn put_record_frame(out: &mut BytesMut, seq: u64, rec: &WalRecord) {
+    out.reserve(FRAME_HEADER + 8 + rec.len_hint());
+    put_frame(out, seq, |w| rec.encode_into(w));
+}
+
+/// `rec` framed under `seq` (see [`put_record_frame`]).
+pub fn record_frame(seq: u64, rec: &WalRecord) -> Bytes {
+    let mut f = BytesMut::new();
+    put_record_frame(&mut f, seq, rec);
     f.freeze()
 }
 
@@ -590,7 +629,7 @@ impl Wal {
     pub fn append(&mut self, rec: &WalRecord) -> (u64, Bytes) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let frame = encode_frame(seq, &rec.encode());
+        let frame = record_frame(seq, rec);
         self.dev.append(&frame);
         (seq, frame)
     }
@@ -687,6 +726,19 @@ mod tests {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn records_frame_in_place_as_they_encode() {
+        let mut all = BytesMut::new();
+        let mut expect = Vec::new();
+        for (seq, rec) in sample_records().iter().enumerate() {
+            let framed = encode_frame(seq as u64, &rec.encode());
+            assert_eq!(record_frame(seq as u64, rec), framed, "{rec:?}");
+            put_record_frame(&mut all, seq as u64, rec);
+            expect.extend_from_slice(&framed);
+        }
+        assert_eq!(&all[..], &expect[..]);
     }
 
     #[test]

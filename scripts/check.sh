@@ -62,7 +62,7 @@ d = json.load(open(sys.argv[1]))
 for key in ("crc_hw_accelerated", "crc_slice16_mbps", "crc_dispatch_mbps",
             "segment_mbps", "reassemble_mbps", "net_train_mbps",
             "net_per_cell_mbps", "train_speedup", "net_lossy_mbps",
-            "lossy_speedup", "fetch200k_kbps"):
+            "lossy_speedup", "lossy_events_per_cell", "fetch200k_kbps"):
     assert key in d, f"BENCH_media.json missing {key}"
     if key != "crc_hw_accelerated":
         assert d[key] > 0, f"BENCH_media.json {key} not positive: {d[key]}"
@@ -72,6 +72,10 @@ assert d["train_speedup"] > 1.0, (
 # per cell there instead of three.
 assert d["lossy_speedup"] > 1.5, (
     f"a lossy hop is not faster than per-cell dispatch: {d['lossy_speedup']}")
+# On that hop a cell's TxDone is its only timer: the cells landing at the
+# host ride their end cell's. A count, so the gate cannot be flaky.
+assert d["lossy_events_per_cell"] <= 1.1, (
+    f"a streamed cell costs more than one timer: {d['lossy_events_per_cell']}")
 PY
 echo "media bench json well-formed, train fast path and lossy stream engaged"
 

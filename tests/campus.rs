@@ -244,6 +244,36 @@ impl ReportSink for Outcomes {
 /// the failure names the panic, and the digest is the same on 1 and 2
 /// threads. The next session on the same worker starts fresh. Its time
 /// sample and timeline retirement land in the slow tail, not at zero.
+/// A report sink that panics part-way through a campus: the panic
+/// reaches the caller as itself, however many workers run, and no
+/// worker panics on the lock it poisoned.
+#[test]
+fn a_panicking_sink_reaches_the_caller_as_itself() {
+    struct Refuses;
+    impl ReportSink for Refuses {
+        fn session(&mut self, r: &SessionReport) {
+            if r.student == 5 {
+                panic!("sink refuses student 5");
+            }
+        }
+    }
+    let w = workload(1, 256);
+    for threads in [1, 2, 8] {
+        // 32 students make 8 batches for 2 threads and 32 for 8, so
+        // every requested worker is spawned.
+        let campus = Campus::new(32, 9).threads(threads).workload(w.clone());
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            campus.run_with(&mut Refuses)
+        }))
+        .expect_err("the sink's panic propagates");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("sink refuses student 5"), "threads={threads}");
+    }
+}
+
 #[test]
 fn panicking_session_fails_alone() {
     let w = workload(1, 2048);
