@@ -15,9 +15,9 @@ use crate::link::{LinkProfile, LinkTelemetry, Policer, ServeKind, ServiceClass, 
 use bytes::{Bytes, PartList};
 use mits_sim::{
     ChanceThreshold, DelayMoments, MetricsRegistry, OnlineStats, SimDuration, SimRng, SimTime,
-    TimeWeighted,
+    TimeWeighted, TimerQueue,
 };
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// A node (host or switch) in the topology.
@@ -589,32 +589,6 @@ enum TimerKind {
     TrainDeliver(u32, u32),
 }
 
-struct Timer {
-    at: SimTime,
-    seq: u64,
-    kind: TimerKind,
-}
-
-impl PartialEq for Timer {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Timer {}
-impl Ord for Timer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Timer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Objects each claimed by exactly one pending timer, by index.
 struct Slab<T> {
     items: Vec<Option<T>>,
@@ -680,7 +654,7 @@ pub struct NetScratch {
     links: Vec<LinkState>,
     link_index: HashMap<(NodeId, NodeId), LinkId>,
     vcs: Vec<VcState>,
-    timers: BinaryHeap<Timer>,
+    timers: TimerQueue<TimerKind>,
     deliveries: Vec<Delivery>,
     trains: Slab<Train>,
     expansions: Slab<Expansion>,
@@ -695,8 +669,7 @@ pub struct AtmNetwork {
     /// VC states indexed by `vci - 1` (VCIs are allocated densely from 1).
     vcs: Vec<VcState>,
     next_vci: u16,
-    timers: BinaryHeap<Timer>,
-    timer_seq: u64,
+    timers: TimerQueue<TimerKind>,
     /// Sequence number of the timer being handled (`u64::MAX` between
     /// events): a stream split compares its cells' arrivals against it.
     cur_seq: u64,
@@ -741,7 +714,6 @@ impl AtmNetwork {
             vcs: scratch.vcs,
             next_vci: 1,
             timers: scratch.timers,
-            timer_seq: 0,
             cur_seq: u64::MAX,
             now: SimTime::ZERO,
             rng: SimRng::seed_from_u64(seed ^ 0xA7A7_17D0),
@@ -1037,7 +1009,7 @@ impl AtmNetwork {
     /// interval.
     pub fn advance(&mut self, to: SimTime) -> Vec<Delivery> {
         assert!(to >= self.now, "network clock cannot go backwards");
-        while self.timers.peek().is_some_and(|t| t.at <= to) {
+        while self.timers.peek().is_some_and(|(at, ..)| at <= to) {
             self.fire_next();
         }
         self.cur_seq = u64::MAX;
@@ -1056,11 +1028,11 @@ impl AtmNetwork {
     /// caller that reuses one buffer allocates nothing per step.
     pub fn advance_until_delivery(&mut self, to: SimTime, out: &mut Vec<Delivery>) {
         assert!(to >= self.now, "network clock cannot go backwards");
-        while let Some(t) = self.timers.peek() {
-            if t.at > to {
+        while let Some((at, ..)) = self.timers.peek() {
+            if at > to {
                 break;
             }
-            if !self.deliveries.is_empty() && t.at > self.now {
+            if !self.deliveries.is_empty() && at > self.now {
                 // Deliveries landed at `now`; later events keep.
                 break;
             }
@@ -1076,11 +1048,11 @@ impl AtmNetwork {
 
     /// Pop the earliest timer and handle it.
     fn fire_next(&mut self) {
-        let timer = self.timers.pop().expect("a pending timer");
+        let (at, seq, kind) = self.timers.pop().expect("a pending timer");
         self.timer_events += 1;
-        self.now = timer.at;
-        self.cur_seq = timer.seq;
-        match timer.kind {
+        self.now = at;
+        self.cur_seq = seq;
+        match kind {
             TimerKind::TxDone(link) => self.tx_done(LinkId(link)),
             TimerKind::Arrive(link) => self.arrive(LinkId(link)),
             TimerKind::Expand(id) => self.expand(id),
@@ -1103,7 +1075,7 @@ impl AtmNetwork {
     /// at a host is an event at its arrival instant, timer or not.
     pub fn next_event_time(&self) -> Option<SimTime> {
         let landings = self.links.iter().filter_map(|l| l.flight.front());
-        (self.timers.peek().map(|t| t.at))
+        (self.timers.peek().map(|(at, ..)| at))
             .into_iter()
             .chain(landings.map(|f| f.at))
             .min()
@@ -1351,25 +1323,13 @@ impl AtmNetwork {
 
     // ---- internals ----
 
-    fn schedule(&mut self, at: SimTime, kind: TimerKind) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(Timer { at, seq, kind });
-    }
-
-    /// Schedule under a sequence number reserved earlier.
-    fn schedule_keyed(&mut self, (at, seq): (SimTime, u64), kind: TimerKind) {
-        self.timers.push(Timer { at, seq, kind });
-    }
-
     /// Put a cell in flight on `link_id`, arriving at `at`, under the
     /// next timer sequence number. It goes into the flight queue in key
     /// order (in practice always at the back). Toward a switch it is
     /// armed with a heap timer when it lands at the head; toward a host,
     /// when it is an end cell.
     fn push_arrival(&mut self, link_id: LinkId, at: SimTime, flying: Flying) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
+        let seq = self.timers.reserve(1);
         let link = &mut self.links[link_id.0 as usize];
         let flight = &mut link.flight;
         let pos = match flight.back() {
@@ -1395,7 +1355,8 @@ impl AtmNetwork {
             flight.insert(pos, entry);
         }
         if armed {
-            self.schedule_keyed((at, seq), TimerKind::Arrive(link_id.0));
+            self.timers
+                .push_keyed(at, seq, TimerKind::Arrive(link_id.0));
         }
     }
 
@@ -1479,7 +1440,8 @@ impl AtmNetwork {
         link.telemetry
             .note(now, ServeKind::PerCell, 1, queued, cell_time, faulted);
         link.serving = Some(flying);
-        self.schedule(now + cell_time, TimerKind::TxDone(link_id.0));
+        self.timers
+            .push(now + cell_time, TimerKind::TxDone(link_id.0));
     }
 
     /// Expand a train back into per-cell queue entries at the front of
@@ -1579,14 +1541,18 @@ impl AtmNetwork {
             // tx-done (done_at). The wind events exist to pin those
             // allocation instants.
             if to_switch {
-                self.schedule(s + ct, TimerKind::TrainHeadWind(link_id.0, tid));
-                self.schedule(done_at - ct, TimerKind::TrainWind(link_id.0, u32::MAX));
+                self.timers
+                    .push(s + ct, TimerKind::TrainHeadWind(link_id.0, tid));
+                self.timers
+                    .push(done_at - ct, TimerKind::TrainWind(link_id.0, u32::MAX));
             } else {
-                self.schedule(done_at - ct, TimerKind::TrainWind(link_id.0, tid));
+                self.timers
+                    .push(done_at - ct, TimerKind::TrainWind(link_id.0, tid));
             }
             return;
         }
-        self.schedule(done_at - ct, TimerKind::TrainWind(link_id.0, u32::MAX));
+        self.timers
+            .push(done_at - ct, TimerKind::TrainWind(link_id.0, u32::MAX));
         // A line hit inside the run: ship survivors per cell so the PDU
         // fails exactly as it would have on the slow path.
         self.train_stats.line_loss_fallbacks += 1;
@@ -1612,7 +1578,8 @@ impl AtmNetwork {
     /// event's sequence number now, exactly as `start_tx` would.
     fn train_wind(&mut self, link_id: LinkId, tid: u32) {
         let ct = self.links[link_id.0 as usize].cell_time;
-        self.schedule(self.now + ct, TimerKind::TrainTxDone(link_id.0, tid));
+        self.timers
+            .push(self.now + ct, TimerKind::TrainTxDone(link_id.0, tid));
     }
 
     /// The head cell finished serializing — the instant the per-cell
@@ -1620,7 +1587,8 @@ impl AtmNetwork {
     /// arrival's sequence number now.
     fn train_head_wind(&mut self, link_id: LinkId, tid: u32) {
         let prop = self.links[link_id.0 as usize].profile.prop_delay;
-        self.schedule(self.now + prop, TimerKind::TrainHead(link_id.0, tid));
+        self.timers
+            .push(self.now + prop, TimerKind::TrainHead(link_id.0, tid));
     }
 
     /// The transmitter finished a whole run. For a host-bound run the
@@ -1630,7 +1598,8 @@ impl AtmNetwork {
     fn train_tx_done(&mut self, link_id: LinkId, tid: u32) {
         if tid != u32::MAX {
             let prop = self.links[link_id.0 as usize].profile.prop_delay;
-            self.schedule(self.now + prop, TimerKind::TrainDeliver(link_id.0, tid));
+            self.timers
+                .push(self.now + prop, TimerKind::TrainDeliver(link_id.0, tid));
         }
         self.start_tx(link_id);
     }
@@ -1774,8 +1743,7 @@ impl AtmNetwork {
     /// run once and reserve the sequence numbers of its `n − 1` arrivals
     /// behind the head.
     fn expansion(&mut self, train: Train, from: LinkId) -> Expansion {
-        let seq_base = self.timer_seq;
-        self.timer_seq += train.run.ncells as u64 - 1;
+        let seq_base = self.timers.reserve(train.run.ncells as u64 - 1);
         Expansion {
             flat: Some(train.run.flatten()),
             train,
@@ -1789,9 +1757,9 @@ impl AtmNetwork {
     /// drop it when every cell has.
     fn schedule_expansion(&mut self, e: Expansion) {
         if e.next < e.ncells() {
-            let key = e.key(e.next);
+            let (at, seq) = e.key(e.next);
             let id = self.expansions.insert(e);
-            self.schedule_keyed(key, TimerKind::Expand(id));
+            self.timers.push_keyed(at, seq, TimerKind::Expand(id));
         }
     }
 
@@ -1802,8 +1770,8 @@ impl AtmNetwork {
         };
         let (link, flying) = (e.link, e.take_next());
         if e.next < e.ncells() {
-            let key = e.key(e.next);
-            self.schedule_keyed(key, TimerKind::Expand(id));
+            let (at, seq) = e.key(e.next);
+            self.timers.push_keyed(at, seq, TimerKind::Expand(id));
         } else {
             self.expansions.take(id);
         }
@@ -2025,8 +1993,9 @@ impl AtmNetwork {
         debug_assert_eq!((head.at, head.seq), key);
         if let Some(next) = link.flight.front_mut().filter(|f| !f.armed) {
             next.armed = true;
-            let key = (next.at, next.seq);
-            self.schedule_keyed(key, TimerKind::Arrive(link_id.0));
+            let (at, seq) = (next.at, next.seq);
+            self.timers
+                .push_keyed(at, seq, TimerKind::Arrive(link_id.0));
         }
         self.at_switch(link_id, head.flying);
     }
@@ -2770,7 +2739,7 @@ mod tests {
         // Handle timers one by one, up to the train's delivery.
         loop {
             let delivers = matches!(
-                net.timers.peek().expect("a timer").kind,
+                net.timers.peek().expect("a timer").2,
                 TimerKind::TrainDeliver(..)
             );
             net.fire_next();

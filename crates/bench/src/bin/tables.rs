@@ -33,9 +33,8 @@ use mits_core::models::{compare_delivery_models, reuse_ablation};
 use mits_core::stack::layer_breakdown;
 use mits_core::stream::{profile_name, stream_audio_over, stream_video_over};
 use mits_core::{
-    fault_storm_slos, host_cores, sharded_workloads, Campus, CampusReport, CampusRollup,
-    CampusWorkload, ClientId, CodSession, FaultStorm, MitsSystem, ReportSink, SessionReport,
-    ShardTrace, SystemConfig,
+    fault_storm_slos, host_cores, sharded_workloads, Campus, CampusRollup, CampusWorkload,
+    ClientId, CodSession, FaultStorm, MitsSystem, ReportSink, SessionReport, SystemConfig,
 };
 use mits_db::RetryPolicy;
 use mits_media::codec::{
@@ -924,18 +923,34 @@ fn campus_workload(clips: usize, clip_bytes: usize) -> CampusWorkload {
     }
 }
 
-/// Throughput of the 200 KB fetch microbench over its timed windows,
-/// KB/s: the median, which the `check.sh` ratchet compares, and the
-/// spread.
-struct FetchKbps {
+/// Repeated host timings: the median, which the `check.sh` gates
+/// compare, and the spread.
+struct Spread {
     median: f64,
     min: f64,
     max: f64,
 }
 
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            median: xs[xs.len() / 2],
+            min: xs[0],
+            max: xs[xs.len() - 1],
+        }
+    }
+}
+
 /// Timed windows per fetch microbench: one ~200 ms window swung by up to
 /// 40% on a shared host, so the median of several is what gets compared.
 const FETCH_WINDOWS: usize = 5;
+
+/// Timed legs per thread count of the campus experiment: on a shared
+/// 2-vCPU host three single legs of 10,000 students read 7,187, 11,010
+/// and 11,020 students/s, so the median of several is what gets
+/// compared. Odd, so the median leg's rate is the median rate.
+const CAMPUS_LEGS: usize = 5;
 
 /// Wall-clock throughput of single-seat 200 KB media fetches through the
 /// full client → ATM → server → ATM → client stack, in KB/s per window.
@@ -944,9 +959,9 @@ const FETCH_WINDOWS: usize = 5;
 /// window repeats rounds until ~200 ms of fetching has been timed, as
 /// [`stage_mbps`] does. Each round fetches from a fresh installation
 /// (built untimed, so its client cache starts cold).
-fn fetch_microbench() -> FetchKbps {
+fn fetch_microbench() -> Spread {
     let w = campus_workload(32, 200 * 1024);
-    let mut windows: Vec<f64> = (0..FETCH_WINDOWS)
+    let windows: Vec<f64> = (0..FETCH_WINDOWS)
         .map(|_| {
             let mut timed = std::time::Duration::ZERO;
             let mut total = 0usize;
@@ -966,12 +981,7 @@ fn fetch_microbench() -> FetchKbps {
             total as f64 / 1024.0 / timed.as_secs_f64()
         })
         .collect();
-    windows.sort_by(f64::total_cmp);
-    FetchKbps {
-        median: windows[FETCH_WINDOWS / 2],
-        min: windows[0],
-        max: windows[FETCH_WINDOWS - 1],
-    }
+    Spread::of(windows)
 }
 
 /// Wall-clock throughput of `f` in MB/s: warm up once, then repeat for
@@ -1104,65 +1114,6 @@ fn peak_rss_mb() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// The bench's [`ReportSink`]: folds the streaming campus output into a
-/// [`CampusReport`] and writes `BENCH_campus.json` from the rollup
-/// callback — the JSON is produced by the stream, not plucked out of a
-/// buffered report afterwards.
-struct BenchJsonSink {
-    report: CampusReport,
-    out: String,
-    clips: usize,
-    clip_bytes: usize,
-    serial: CampusReport,
-    fetch: FetchKbps,
-    host_cores: usize,
-}
-
-impl ReportSink for BenchJsonSink {
-    fn session(&mut self, report: &SessionReport) {
-        self.report.session(report);
-    }
-
-    fn trace(&mut self, trace: &ShardTrace) {
-        self.report.trace(trace);
-    }
-
-    fn rollup(&mut self, rollup: &CampusRollup) {
-        self.report.rollup(rollup);
-        let speedup = self.serial.wall_secs / rollup.wall_secs.max(1e-9);
-        let json = format!(
-            "{{\n  \"experiment\": \"campus\",\n  \"students\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"peak_rss_mb\": {:.1},\n  \"base_seed\": 42,\n  \"clips_per_student\": {},\n  \"clip_bytes\": {},\n  \"digest\": \"0x{:016x}\",\n  \"digest_match_1_vs_n_threads\": {},\n  \"metrics_match_1_vs_n_threads\": {},\n  \"traces_sampled\": {},\n  \"slo_breaches\": {},\n  \"bytes_simulated\": {},\n  \"wall_secs_1_thread\": {:.4},\n  \"wall_secs_n_threads\": {:.4},\n  \"speedup_n_over_1\": {:.3},\n  \"students_per_sec\": {:.2},\n  \"bytes_per_sec\": {:.1},\n  \"session_ms_p50\": {:.3},\n  \"session_ms_p99\": {:.3},\n  \"shard_wall_ms_p50\": {:.3},\n  \"shard_wall_ms_p99\": {:.3},\n  \"fetch200k_kbps_seed\": {:.1},\n  \"fetch200k_kbps_now\": {:.1},\n  \"fetch200k_kbps_min\": {:.1},\n  \"fetch200k_kbps_max\": {:.1},\n  \"fetch200k_speedup\": {:.2}\n}}\n",
-            rollup.students,
-            rollup.threads,
-            self.host_cores,
-            peak_rss_mb(),
-            self.clips,
-            self.clip_bytes,
-            rollup.digest,
-            self.serial.digest == rollup.digest,
-            self.serial.metrics.to_json() == rollup.metrics.to_json(),
-            self.report.traces.len(),
-            rollup.slo.breaches(),
-            rollup.bytes,
-            self.serial.wall_secs,
-            rollup.wall_secs,
-            speedup,
-            rollup.students as f64 / rollup.wall_secs.max(1e-9),
-            rollup.bytes as f64 / rollup.wall_secs.max(1e-9),
-            self.report.session_percentile(0.50) * 1e3,
-            self.report.session_percentile(0.99) * 1e3,
-            self.report.wall_percentile(0.50) * 1e3,
-            self.report.wall_percentile(0.99) * 1e3,
-            FETCH200K_KBPS_SEED,
-            self.fetch.median,
-            self.fetch.min,
-            self.fetch.max,
-            self.fetch.median / FETCH200K_KBPS_SEED
-        );
-        std::fs::write(&self.out, json).expect("write campus bench json");
-    }
-}
-
 fn campus(opts: &Options) {
     header(
         "CAMPUS",
@@ -1191,56 +1142,98 @@ fn campus(opts: &Options) {
     );
 
     let workload = campus_workload(clips, clip_bytes);
-    let serial = Campus::new(students, SEED)
-        .threads(1)
-        .flight_ring(flight_ring)
-        .workload(workload.clone())
-        .run()
-        .unwrap();
-    let mut sink = BenchJsonSink {
-        report: CampusReport::new(),
-        out: out.to_string(),
+    let run_leg = |threads: usize| {
+        Campus::new(students, SEED)
+            .threads(threads)
+            .flight_ring(flight_ring)
+            .workload(workload.clone())
+            .run()
+            .unwrap()
+    };
+    // Legs alternate between 1 and N threads, so a slow phase of the
+    // host lands on both; every leg must reproduce the first.
+    let serial = run_leg(1);
+    let serial_metrics = serial.metrics.to_json();
+    let (mut digest_match, mut metrics_match) = (true, true);
+    let mut walls = (vec![serial.wall_secs], Vec::new());
+    let mut parallel = None;
+    for leg in 1..2 * CAMPUS_LEGS {
+        let serial_leg = leg % 2 == 0;
+        let r = run_leg(if serial_leg { 1 } else { threads });
+        digest_match &= r.digest == serial.digest;
+        metrics_match &= r.metrics.to_json() == serial_metrics;
+        if serial_leg {
+            walls.0.push(r.wall_secs);
+        } else {
+            walls.1.push(r.wall_secs);
+            parallel = Some(r);
+        }
+    }
+    let parallel = parallel.expect("at least one N-thread leg");
+    let (wall_1, wall_n) = (Spread::of(walls.0), Spread::of(walls.1));
+    let speedup = wall_1.median / wall_n.median.max(1e-9);
+    let per_sec = |x: f64, wall: f64| x / wall.max(1e-9);
+    let students_f = students as f64;
+    let json = format!(
+        "{{\n  \"experiment\": \"campus\",\n  \"students\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"peak_rss_mb\": {:.1},\n  \"base_seed\": 42,\n  \"clips_per_student\": {},\n  \"clip_bytes\": {},\n  \"digest\": \"0x{:016x}\",\n  \"digest_match_1_vs_n_threads\": {},\n  \"metrics_match_1_vs_n_threads\": {},\n  \"traces_sampled\": {},\n  \"slo_breaches\": {},\n  \"bytes_simulated\": {},\n  \"wall_secs_1_thread\": {:.4},\n  \"wall_secs_n_threads\": {:.4},\n  \"speedup_n_over_1\": {:.3},\n  \"students_per_sec\": {:.2},\n  \"students_per_sec_min\": {:.2},\n  \"students_per_sec_max\": {:.2},\n  \"bytes_per_sec\": {:.1},\n  \"session_ms_p50\": {:.3},\n  \"session_ms_p99\": {:.3},\n  \"shard_wall_ms_p50\": {:.3},\n  \"shard_wall_ms_p99\": {:.3},\n  \"fetch200k_kbps_seed\": {:.1},\n  \"fetch200k_kbps_now\": {:.1},\n  \"fetch200k_kbps_min\": {:.1},\n  \"fetch200k_kbps_max\": {:.1},\n  \"fetch200k_speedup\": {:.2}\n}}\n",
+        parallel.students,
+        parallel.threads,
+        cores,
+        peak_rss_mb(),
         clips,
         clip_bytes,
-        serial,
-        fetch,
-        host_cores: cores,
-    };
-    Campus::new(students, SEED)
-        .threads(threads)
-        .flight_ring(flight_ring)
-        .workload(workload)
-        .run_with(&mut sink)
-        .unwrap();
-    let (serial, parallel) = (&sink.serial, &sink.report);
-    assert_eq!(
-        serial.digest, parallel.digest,
+        parallel.digest,
+        digest_match,
+        metrics_match,
+        parallel.traces.len(),
+        parallel.slo.breaches(),
+        parallel.bytes,
+        wall_1.median,
+        wall_n.median,
+        speedup,
+        per_sec(students_f, wall_n.median),
+        per_sec(students_f, wall_n.max),
+        per_sec(students_f, wall_n.min),
+        per_sec(parallel.bytes as f64, wall_n.median),
+        parallel.session_percentile(0.50) * 1e3,
+        parallel.session_percentile(0.99) * 1e3,
+        parallel.wall_percentile(0.50) * 1e3,
+        parallel.wall_percentile(0.99) * 1e3,
+        FETCH200K_KBPS_SEED,
+        fetch.median,
+        fetch.min,
+        fetch.max,
+        fetch.median / FETCH200K_KBPS_SEED
+    );
+    std::fs::write(out, json).expect("write campus bench json");
+    assert!(
+        digest_match,
         "campus digest must not depend on thread count"
     );
-    assert_eq!(
-        serial.metrics.to_json(),
-        parallel.metrics.to_json(),
+    assert!(
+        metrics_match,
         "merged metrics rollup must not depend on thread count"
     );
 
-    let speedup = serial.wall_secs / parallel.wall_secs.max(1e-9);
     println!(
         "{:<22} {:>10} {:>12} {:>12} {:>10}",
         "run", "threads", "wall", "students/s", "MB/s"
     );
-    for r in [serial, parallel] {
+    for (n, wall) in [(1, &wall_1), (parallel.threads, &wall_n)] {
         println!(
-            "{:<22} {:>10} {:>10.3}s {:>12.1} {:>10.1}",
-            format!("{} students", r.students),
-            r.threads,
-            r.wall_secs,
-            r.students_per_sec(),
-            r.bytes_per_sec() / (1024.0 * 1024.0)
+            "{:<22} {:>10} {:>10.3}s {:>12.1} {:>10.1}  students/s [{:.1}, {:.1}]",
+            format!("{students} students"),
+            n,
+            wall.median,
+            per_sec(students_f, wall.median),
+            per_sec(parallel.bytes as f64, wall.median) / (1024.0 * 1024.0),
+            per_sec(students_f, wall.max),
+            per_sec(students_f, wall.min),
         );
     }
     println!(
-        "digest 0x{:016x} identical on 1 and {} threads; {speedup:.2}x on {} core(s); \
-         peak RSS {:.1} MB",
+        "digest 0x{:016x} identical on 1 and {} threads over {CAMPUS_LEGS} legs each; \
+         {speedup:.2}x on {} core(s) (median walls); peak RSS {:.1} MB",
         parallel.digest,
         parallel.threads,
         cores,

@@ -1,7 +1,8 @@
-//! Shared fixtures for the MITS benchmark harness.
+//! Shared fixtures for the `tables` binary, which regenerates the MITS
+//! evaluation.
 //!
-//! Every bench and every `tables` experiment builds its workload from
-//! these constructors so results are comparable across runs and targets.
+//! Every `tables` experiment builds its workload from these constructors,
+//! so results are comparable across experiments and runs.
 
 use mits_author::{
     compile_imd, Behavior, BehaviorAction, BehaviorCondition, CompiledCourseware, ElementKind,

@@ -225,8 +225,8 @@ pub struct CampusRollup {
 /// from a buffered report. All callbacks arrive in deterministic
 /// student-index order regardless of thread count or completion order;
 /// `rollup` is called exactly once at the end of a successful run.
-/// [`CampusReport`] is one provided sink; `tables --exp campus` streams
-/// into its own JSON-writing sink.
+/// [`CampusReport`] is one provided sink; `examples/campus_scale.rs`
+/// streams into its own progress-printing sink.
 pub trait ReportSink: Send {
     /// A session retired. Called in student-index order.
     fn session(&mut self, _report: &SessionReport) {}

@@ -385,10 +385,10 @@ mod tests {
     fn concurrent_readers_and_writers() {
         let (store, course, _) = store_with_course();
         let store = std::sync::Arc::new(store);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let st = store.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..1000 {
                         let _ = st.get(course);
                         let _ = st.list_containers();
@@ -396,14 +396,13 @@ mod tests {
                 });
             }
             let st = store.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..1000 {
                     let obj = st.get(course).unwrap();
                     st.put(obj);
                 }
             });
-        })
-        .unwrap();
+        });
         assert_eq!(store.get(course).unwrap().info.version, 1000);
     }
 }

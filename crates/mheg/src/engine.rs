@@ -29,8 +29,8 @@ use crate::object::{ContentBody, LinkBody, LinkEffect, MhegObject, ObjectBody};
 use crate::runtime::{RtKind, RtObject, RtState, Socket, SocketKind};
 use crate::sync::CyclicTask;
 use crate::value::GenericValue;
-use mits_sim::{SimDuration, SimTime};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use mits_sim::{SimDuration, SimTime, TimerQueue};
+use std::collections::{HashMap, VecDeque};
 
 /// Cap on cascaded link firings from a single stimulus; a cycle of links
 /// (button → run → link → run …) beyond this depth is reported as an
@@ -188,7 +188,6 @@ struct ActiveLink {
     body: LinkBody,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
 enum TimerKind {
     /// Run a (possibly delayed) action entry.
     Action(ActionEntry),
@@ -196,28 +195,6 @@ enum TimerKind {
     Completion { rt: RtId, generation: u64 },
     /// Cyclic re-run.
     Cyclic { index: usize },
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Timer {
-    at: SimTime,
-    seq: u64,
-    kind: TimerKind,
-}
-
-impl Ord for Timer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on (at, seq).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Timer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -245,8 +222,7 @@ pub struct MhegEngine {
     generations: HashMap<RtId, u64>,
     links: Vec<ActiveLink>,
     cyclic: Vec<CyclicState>,
-    timers: BinaryHeap<Timer>,
-    timer_seq: u64,
+    timers: TimerQueue<TimerKind>,
     next_rt: u64,
     now: SimTime,
     out: Vec<PresentationEvent>,
@@ -271,8 +247,7 @@ impl MhegEngine {
             generations: HashMap::new(),
             links: Vec::new(),
             cyclic: Vec::new(),
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: TimerQueue::new(),
             next_rt: 1,
             now: SimTime::ZERO,
             out: Vec::new(),
@@ -460,13 +435,10 @@ impl MhegEngine {
     /// Advance the engine clock to `to`, firing due timers in order.
     pub fn advance(&mut self, to: SimTime) -> Result<(), EngineError> {
         assert!(to >= self.now, "engine clock cannot go backwards");
-        while let Some(t) = self.timers.peek() {
-            if t.at > to {
-                break;
-            }
-            let timer = self.timers.pop().expect("peeked timer vanished");
-            self.now = timer.at;
-            match timer.kind {
+        while self.timers.peek().is_some_and(|(at, ..)| at <= to) {
+            let (at, _, kind) = self.timers.pop().expect("peeked timer vanished");
+            self.now = at;
+            match kind {
                 TimerKind::Action(entry) => self.apply_entry_now(&entry)?,
                 TimerKind::Completion { rt, generation } => {
                     self.handle_completion(rt, generation)?;
@@ -476,12 +448,6 @@ impl MhegEngine {
         }
         self.now = to;
         Ok(())
-    }
-
-    fn schedule(&mut self, at: SimTime, kind: TimerKind) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(Timer { at, seq, kind });
     }
 
     // ---------- user interaction ----------
@@ -534,7 +500,7 @@ impl MhegEngine {
         if entry.delay.is_zero() {
             self.apply_entry_now(entry)
         } else {
-            self.schedule(
+            self.timers.push(
                 self.now + entry.delay,
                 TimerKind::Action(ActionEntry {
                     target: entry.target,
@@ -853,7 +819,8 @@ impl MhegEngine {
         });
         // Schedule completion for time-based content.
         if let Some(done) = self.rt.get(&id).and_then(|r| r.completion_time()) {
-            self.schedule(done, TimerKind::Completion { rt: id, generation });
+            self.timers
+                .push(done, TimerKind::Completion { rt: id, generation });
         }
         // Composites: execute start-up actions and lower sync specs.
         let composite_body = match &self.rt.get(&id).expect("exists").kind {
@@ -884,7 +851,7 @@ impl MhegEngine {
                         // composite's own start (atomic-parallel semantics).
                         self.apply_entry(&entry)?;
                     } else {
-                        self.schedule(now + offset, TimerKind::Action(entry));
+                        self.timers.push(now + offset, TimerKind::Action(entry));
                     }
                 }
                 for link in lowered.links {
@@ -900,7 +867,7 @@ impl MhegEngine {
                         owner: id,
                         active: true,
                     });
-                    self.schedule(now, TimerKind::Cyclic { index });
+                    self.timers.push(now, TimerKind::Cyclic { index });
                 }
             }
         }
@@ -965,7 +932,8 @@ impl MhegEngine {
     fn reschedule_completion(&mut self, id: RtId) {
         if let Some(done) = self.rt.get(&id).and_then(|r| r.completion_time()) {
             let generation = *self.generations.get(&id).unwrap_or(&0);
-            self.schedule(done, TimerKind::Completion { rt: id, generation });
+            self.timers
+                .push(done, TimerKind::Completion { rt: id, generation });
         }
     }
 
@@ -984,7 +952,8 @@ impl MhegEngine {
         // but a slower speed leaves the old timer early → re-arm).
         if let Some(done) = rt.completion_time() {
             if done > self.now {
-                self.schedule(done, TimerKind::Completion { rt: id, generation });
+                self.timers
+                    .push(done, TimerKind::Completion { rt: id, generation });
                 return Ok(());
             }
         }
@@ -1010,7 +979,8 @@ impl MhegEngine {
         let target = state.task.target;
         let period = state.task.period;
         // Re-arm before running so a Run failure doesn't wedge the cycle.
-        self.schedule(self.now + period, TimerKind::Cyclic { index });
+        self.timers
+            .push(self.now + period, TimerKind::Cyclic { index });
         let entry = ActionEntry::now(target, vec![ElementaryAction::Run]);
         self.apply_entry_now(&entry)
     }

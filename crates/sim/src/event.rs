@@ -1,679 +1,172 @@
-//! The future event list and the simulation executor.
+//! The timer queue every scheduler in the reproduction runs on.
 //!
-//! MITS experiments (network delivery, client-server scalability, facilitator
-//! queueing) are all event-driven: "cell arrives at switch", "server finishes
-//! request", "student clicks choice1". Events are closures over a mutable
-//! world `W`; during execution they receive a [`Scheduler`] handle to post
-//! follow-up events. Simultaneous events run in the order they were
-//! scheduled (FIFO tie-break on a monotonically increasing sequence number),
-//! which keeps runs bit-for-bit deterministic.
-//!
-//! ## The timing wheel
-//!
-//! [`EventQueue`] is a four-level hierarchical timing wheel rather than a
-//! binary heap. Each level has 256 slots; level `l` buckets events by bits
-//! `8l..8(l+1)` of their microsecond timestamp, so together the wheel spans
-//! a 2³² µs (~71 min) horizon with O(1) insert and O(1) amortized extract
-//! — no `log n` sift and no per-operation comparisons against boxed
-//! closures. Events beyond the horizon wait in a `BTreeMap` overflow and
-//! migrate into the wheel when the clock reaches their epoch. Nodes live in
-//! a slab arena threaded into per-slot intrusive FIFO lists; slot occupancy
-//! is tracked in 256-bit bitmaps scanned with `trailing_zeros`. Slots are
-//! cascaded to lower levels strictly in list order, which preserves the
-//! exact (time, seq) extraction order of the original heap — golden traces
-//! are byte-identical across the swap.
+//! MITS experiments are event-driven: "cell arrives at switch", "answer
+//! finished", "run the next cyclic action". One rule orders them all:
+//! events due at the same instant run in the order they were scheduled.
+//! [`TimerQueue`] gives each timer the next sequence number when it is
+//! pushed and pops in ascending `(instant, sequence)` order, which keeps
+//! every run bit-for-bit deterministic.
 
 use crate::time::SimTime;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// A boxed event callback: receives the world and a scheduler for follow-ups.
-pub type Event<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>)>;
-
-const NIL: u32 = u32::MAX;
-const SLOTS: usize = 256;
-const LEVELS: usize = 4;
-
-/// Arena node: timestamp, FIFO tie-break, intrusive slot-list link, payload.
-struct Node<W> {
-    at: u64,
+struct Entry<T> {
+    at: SimTime,
     seq: u64,
-    next: u32,
-    run: Option<Event<W>>,
+    item: T,
 }
 
-/// One wheel level: 256 intrusive FIFO lists plus an occupancy bitmap.
-struct Level {
-    head: [u32; SLOTS],
-    tail: [u32; SLOTS],
-    bits: [u64; SLOTS / 64],
-}
-
-impl Level {
-    fn new() -> Self {
-        Level {
-            head: [NIL; SLOTS],
-            tail: [NIL; SLOTS],
-            bits: [0; SLOTS / 64],
-        }
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
     }
-
-    /// Lowest occupied slot index `>= from`, if any.
-    fn first_set(&self, from: usize) -> Option<usize> {
-        let mut word = from / 64;
-        let mut mask = !0u64 << (from % 64);
-        while word < SLOTS / 64 {
-            let b = self.bits[word] & mask;
-            if b != 0 {
-                return Some(word * 64 + b.trailing_zeros() as usize);
-            }
-            word += 1;
-            mask = !0;
-        }
-        None
+}
+impl<T> Eq for Entry<T> {}
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
-/// A time-ordered queue of pending events.
+/// A min-heap of timers on `(instant, sequence)`.
 ///
-/// Extraction order is exactly ascending `(time, seq)` where `seq` is the
-/// push order — identical to the binary-heap implementation it replaced.
-pub struct EventQueue<W> {
-    nodes: Vec<Node<W>>,
-    free: Vec<u32>,
-    levels: [Level; LEVELS],
-    /// Events beyond the 2³² µs wheel horizon, keyed by (time, seq).
-    overflow: BTreeMap<(u64, u64), u32>,
-    /// Events pushed with a timestamp before the wheel cursor (possible only
-    /// through direct `EventQueue` use — `Simulation` forbids it).
-    overdue: BTreeMap<(u64, u64), u32>,
-    /// Wheel cursor: no event in the wheel levels is earlier than this.
-    cur: u64,
-    /// Cached earliest wheel-resident timestamp (excludes overflow/overdue).
-    wheel_min: Option<u64>,
-    len: usize,
+/// [`TimerQueue::push`] takes the next sequence number. A scheduler that
+/// must hold a tie-break position before it knows what to schedule there
+/// [`reserve`](TimerQueue::reserve)s numbers and later schedules under
+/// them with [`push_keyed`](TimerQueue::push_keyed).
+pub struct TimerQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
 }
 
-impl<W> Default for EventQueue<W> {
+impl<T> Default for TimerQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> EventQueue<W> {
-    /// An empty queue.
+impl<T> TimerQueue<T> {
+    /// An empty queue whose first sequence number is 0.
     pub fn new() -> Self {
-        EventQueue {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            levels: [Level::new(), Level::new(), Level::new(), Level::new()],
-            overflow: BTreeMap::new(),
-            overdue: BTreeMap::new(),
-            cur: 0,
-            wheel_min: None,
-            len: 0,
+        TimerQueue {
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
 
-    /// Schedule `event` to run at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, event: Event<W>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let idx = self.alloc(at.as_micros(), seq, event);
-        self.place(idx);
-        self.len += 1;
+    /// Schedule `item` at `at` under the next sequence number.
+    pub fn push(&mut self, at: SimTime, item: T) {
+        let seq = self.reserve(1);
+        self.heap.push(Entry { at, seq, item });
     }
 
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event<W>)> {
-        // Overdue events are strictly earlier than the wheel cursor, and
-        // everything in the wheel is at or after it.
-        if let Some((_, idx)) = self.overdue.pop_first() {
-            return Some(self.detach(idx));
-        }
-        self.settle();
-        let min = self.wheel_min?;
-        let slot = (min & 0xFF) as usize;
-        let idx = self.pop_slot_head(slot);
-        self.cur = min;
-        let out = self.detach(idx);
-        self.settle();
-        Some(out)
+    /// Allocate `n` consecutive sequence numbers without scheduling
+    /// anything; returns the first.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best = self.wheel_min;
-        if let Some((&(t, _), _)) = self.overflow.first_key_value() {
-            best = Some(best.map_or(t, |b| b.min(t)));
-        }
-        if let Some((&(t, _), _)) = self.overdue.first_key_value() {
-            best = Some(best.map_or(t, |b| b.min(t)));
-        }
-        best.map(SimTime::from_micros)
+    /// Schedule `item` at `at` under `seq`, a number [`reserve`]d earlier.
+    ///
+    /// [`reserve`]: TimerQueue::reserve
+    pub fn push_keyed(&mut self, at: SimTime, seq: u64, item: T) {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} not reserved");
+        self.heap.push(Entry { at, seq, item });
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
+    /// The earliest timer as `(at, seq, item)`, if any.
+    pub fn peek(&self) -> Option<(SimTime, u64, &T)> {
+        self.heap.peek().map(|e| (e.at, e.seq, &e.item))
     }
 
-    /// True when no events are pending.
+    /// Remove and return the earliest timer as `(at, seq, item)`.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        self.heap.pop().map(|e| (e.at, e.seq, e.item))
+    }
+
+    /// True when no timer is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    fn alloc(&mut self, at: u64, seq: u64, run: Event<W>) -> u32 {
-        let node = Node {
-            at,
-            seq,
-            next: NIL,
-            run: Some(run),
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Remove a node from the arena, returning its timestamp and callback.
-    fn detach(&mut self, idx: u32) -> (SimTime, Event<W>) {
-        let node = &mut self.nodes[idx as usize];
-        debug_assert_eq!(node.next, NIL);
-        let at = node.at;
-        let run = node.run.take().expect("event node already detached");
-        self.free.push(idx);
-        self.len -= 1;
-        (SimTime::from_micros(at), run)
-    }
-
-    /// File a node into the level (or map) its distance from the cursor
-    /// selects. Within a slot, nodes are appended FIFO, so equal-time
-    /// events keep push order.
-    fn place(&mut self, idx: u32) {
-        let t = self.nodes[idx as usize].at;
-        let seq = self.nodes[idx as usize].seq;
-        if t < self.cur {
-            self.overdue.insert((t, seq), idx);
-            return;
-        }
-        // Shared high bits decide the level: events whose timestamp agrees
-        // with the cursor down to bit 8(l+1) belong on level l.
-        let d = t ^ self.cur;
-        let level = if d < 1 << 8 {
-            0
-        } else if d < 1 << 16 {
-            1
-        } else if d < 1 << 24 {
-            2
-        } else if d < 1 << 32 {
-            3
-        } else {
-            self.overflow.insert((t, seq), idx);
-            return;
-        };
-        let slot = ((t >> (8 * level)) & 0xFF) as usize;
-        let lv = &mut self.levels[level];
-        if lv.head[slot] == NIL {
-            lv.head[slot] = idx;
-            lv.bits[slot / 64] |= 1 << (slot % 64);
-        } else {
-            self.nodes[lv.tail[slot] as usize].next = idx;
-        }
-        lv.tail[slot] = idx;
-        self.wheel_min = Some(self.wheel_min.map_or(t, |m| m.min(t)));
-    }
-
-    /// Unlink and return the head node of a level-0 slot.
-    fn pop_slot_head(&mut self, slot: usize) -> u32 {
-        let lv = &mut self.levels[0];
-        let idx = lv.head[slot];
-        debug_assert_ne!(idx, NIL, "pop from empty slot");
-        let next = self.nodes[idx as usize].next;
-        self.nodes[idx as usize].next = NIL;
-        lv.head[slot] = next;
-        if next == NIL {
-            lv.tail[slot] = NIL;
-            lv.bits[slot / 64] &= !(1 << (slot % 64));
-        }
-        idx
-    }
-
-    /// Detach an entire slot list, clearing its occupancy bit.
-    fn take_slot(&mut self, level: usize, slot: usize) -> u32 {
-        let lv = &mut self.levels[level];
-        let head = lv.head[slot];
-        lv.head[slot] = NIL;
-        lv.tail[slot] = NIL;
-        lv.bits[slot / 64] &= !(1 << (slot % 64));
-        head
-    }
-
-    /// Cascade until the earliest wheel event sits in level 0 (caching its
-    /// time in `wheel_min`), migrating overflow epochs as the cursor
-    /// reaches them. Leaves `wheel_min` as `None` only when the wheel and
-    /// overflow are both empty.
-    fn settle(&mut self) {
-        'outer: loop {
-            // Earliest level-0 slot in the current 256 µs window is the
-            // global wheel minimum: every higher-level event differs from
-            // the cursor in some bit above bit 7, hence lies beyond it.
-            if let Some(slot) = self.levels[0].first_set((self.cur & 0xFF) as usize) {
-                self.wheel_min = Some((self.cur & !0xFF) | slot as u64);
-                return;
-            }
-            for level in 1..LEVELS {
-                let shift = 8 * level;
-                let from = ((self.cur >> shift) & 0xFF) as usize;
-                if let Some(slot) = self.levels[level].first_set(from) {
-                    // Advance the cursor to the slot's window and deal its
-                    // list (in FIFO order) down to lower levels.
-                    let span_mask = (1u64 << (8 * (level + 1))) - 1;
-                    let slot_start = (self.cur & !span_mask) | ((slot as u64) << shift);
-                    debug_assert!(slot_start >= self.cur, "cascade moved cursor backwards");
-                    self.cur = self.cur.max(slot_start);
-                    let mut walk = self.take_slot(level, slot);
-                    while walk != NIL {
-                        let next = self.nodes[walk as usize].next;
-                        self.nodes[walk as usize].next = NIL;
-                        self.place(walk);
-                        walk = next;
-                    }
-                    continue 'outer;
-                }
-            }
-            // Wheel empty: pull the next overflow epoch into it, if any.
-            if let Some((&(t, _), _)) = self.overflow.first_key_value() {
-                self.cur = t;
-                while let Some((&(t2, _), _)) = self.overflow.first_key_value() {
-                    if t2 >> 32 != self.cur >> 32 {
-                        break;
-                    }
-                    let (_, idx) = self.overflow.pop_first().expect("checked non-empty");
-                    self.place(idx);
-                }
-                continue;
-            }
-            self.wheel_min = None;
-            return;
-        }
-    }
-}
-
-/// Handle given to running events so they can schedule follow-up work.
-///
-/// Also exposes the current virtual time, so events do not need to close
-/// over it.
-pub struct Scheduler<W> {
-    now: SimTime,
-    pending: Vec<(SimTime, Event<W>)>,
-}
-
-impl<W> Scheduler<W> {
-    /// Current virtual time (the timestamp of the running event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past — a DES must never travel backwards.
-    pub fn at(&mut self, at: SimTime, event: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: {at} < {}",
-            self.now
-        );
-        self.pending.push((at, Box::new(event)));
-    }
-
-    /// Schedule `event` after a delay from now.
-    pub fn after(
-        &mut self,
-        delay: crate::time::SimDuration,
-        event: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
-        let at = self.now + delay;
-        self.pending.push((at, Box::new(event)));
-    }
-}
-
-/// A complete simulation: a world, a clock, and a future event list.
-pub struct Simulation<W> {
-    world: W,
-    now: SimTime,
-    queue: EventQueue<W>,
-    executed: u64,
-}
-
-impl<W> Simulation<W> {
-    /// Create a simulation owning `world`, with the clock at zero.
-    pub fn new(world: W) -> Self {
-        Simulation {
-            world,
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            executed: 0,
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Immutable access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
-    }
-
-    /// Mutable access to the world (between runs).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Consume the simulation, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
-    /// Schedule an event at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is before the current clock.
-    pub fn schedule(
-        &mut self,
-        at: SimTime,
-        event: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
-        assert!(at >= self.now, "event scheduled in the past");
-        self.queue.push(at, Box::new(event));
-    }
-
-    /// Schedule an event after `delay` from the current clock.
-    pub fn schedule_after(
-        &mut self,
-        delay: crate::time::SimDuration,
-        event: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
-        let at = self.now + delay;
-        self.queue.push(at, Box::new(event));
-    }
-
-    /// Run until the event list is empty. Returns the final clock value.
-    pub fn run(&mut self) -> SimTime {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Run until the event list is empty or the next event is after
-    /// `deadline`. Events *at* the deadline still run. Returns the clock.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let (at, event) = self.queue.pop().expect("peeked entry vanished");
-            self.now = at;
-            let mut sched = Scheduler {
-                now: at,
-                pending: Vec::new(),
-            };
-            event(&mut self.world, &mut sched);
-            self.executed += 1;
-            for (t, e) in sched.pending {
-                self.queue.push(t, e);
-            }
-        }
-        // If we stopped on the deadline with events remaining, advance the
-        // clock to the deadline so repeated run_until calls observe
-        // monotonically increasing time.
-        if self.queue.peek_time().is_some() && deadline != SimTime::MAX && self.now < deadline {
-            self.now = deadline;
-        }
-        self.now
-    }
-
-    /// Run exactly one event, if any. Returns its timestamp.
-    pub fn step(&mut self) -> Option<SimTime> {
-        let (at, event) = self.queue.pop()?;
-        self.now = at;
-        let mut sched = Scheduler {
-            now: at,
-            pending: Vec::new(),
-        };
-        event(&mut self.world, &mut sched);
-        self.executed += 1;
-        for (t, e) in sched.pending {
-            self.queue.push(t, e);
-        }
-        Some(at)
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+    /// Drop every timer and restart the sequence numbers at 0, keeping
+    /// the allocation: a cleared queue behaves exactly like a new one.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.next_seq = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use crate::rng::SimRng;
 
+    /// Interleave `push`, `reserve` with a later `push_keyed`, and `pop`;
+    /// every pop must be the least pending `(instant, seq)`. Then
+    /// `clear` must restart the sequence numbers, as recycling a network
+    /// relies on.
     #[test]
-    fn events_run_in_time_order() {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        for &t in &[30u64, 10, 20] {
-            sim.schedule(SimTime::from_micros(t), move |w: &mut Vec<u64>, _| {
-                w.push(t)
-            });
-        }
-        sim.run();
-        assert_eq!(*sim.world(), vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn simultaneous_events_fifo() {
-        let mut sim = Simulation::new(Vec::<u32>::new());
-        for i in 0..100u32 {
-            sim.schedule(SimTime::from_micros(5), move |w: &mut Vec<u32>, _| {
-                w.push(i)
-            });
-        }
-        sim.run();
-        assert_eq!(*sim.world(), (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn events_can_schedule_followups() {
-        // Chain: event at t schedules another at t+1, five deep.
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        fn chain(depth: u32) -> impl FnOnce(&mut Vec<u64>, &mut Scheduler<Vec<u64>>) {
-            move |w, s| {
-                w.push(s.now().as_micros());
-                if depth > 0 {
-                    s.after(SimDuration::from_micros(1), chain(depth - 1));
-                }
-            }
-        }
-        sim.schedule(SimTime::ZERO, chain(4));
-        let end = sim.run();
-        assert_eq!(*sim.world(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(end, SimTime::from_micros(4));
-        assert_eq!(sim.executed(), 5);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulation::new(0u32);
-        sim.schedule(SimTime::from_micros(10), |w: &mut u32, _| *w += 1);
-        sim.schedule(SimTime::from_micros(20), |w: &mut u32, _| *w += 1);
-        sim.schedule(SimTime::from_micros(30), |w: &mut u32, _| *w += 1);
-        let t = sim.run_until(SimTime::from_micros(20));
-        assert_eq!(*sim.world(), 2, "events at and before deadline ran");
-        assert_eq!(t, SimTime::from_micros(20));
-        assert_eq!(sim.pending(), 1);
-        sim.run();
-        assert_eq!(*sim.world(), 3);
-    }
-
-    #[test]
-    fn step_runs_single_event() {
-        let mut sim = Simulation::new(0u32);
-        sim.schedule(SimTime::from_micros(1), |w: &mut u32, _| *w += 1);
-        sim.schedule(SimTime::from_micros(2), |w: &mut u32, _| *w += 10);
-        assert_eq!(sim.step(), Some(SimTime::from_micros(1)));
-        assert_eq!(*sim.world(), 1);
-        assert_eq!(sim.step(), Some(SimTime::from_micros(2)));
-        assert_eq!(*sim.world(), 11);
-        assert_eq!(sim.step(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    fn scheduling_in_the_past_panics() {
-        let mut sim = Simulation::new(());
-        sim.schedule(SimTime::from_micros(10), |_, s| {
-            // now = 10; scheduling at 5 must panic.
-            s.at(SimTime::from_micros(5), |_, _| {});
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn clock_is_monotone_across_run_until_calls() {
-        let mut sim = Simulation::new(());
-        sim.schedule(SimTime::from_micros(100), |_, _| {});
-        sim.run_until(SimTime::from_micros(50));
-        assert_eq!(sim.now(), SimTime::from_micros(50));
-        sim.run_until(SimTime::from_micros(150));
-        assert_eq!(sim.now(), SimTime::from_micros(100), "clock at last event");
-    }
-
-    #[test]
-    fn order_preserved_across_level_boundaries() {
-        // Times straddling every wheel-level boundary, plus duplicates; the
-        // pop order must be ascending time with FIFO among equals.
-        let times: Vec<u64> = vec![
-            300,
-            255,
-            256,
-            257,
-            300, // duplicate, pushed later — must pop after the first 300
-            65_535,
-            65_536,
-            65_537,
-            1 << 24,
-            (1 << 24) - 1,
-            (1 << 32) + 5, // beyond the wheel horizon → overflow map
-            (1 << 32) + 5,
-            1,
-            0,
-        ];
-        let mut q: EventQueue<Vec<usize>> = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_micros(t), Box::new(move |w, _| w.push(i)));
-        }
-        let mut expect: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        expect.sort_by_key(|&(t, i)| (t, i));
-        let mut got = Vec::new();
-        let mut last = 0u64;
-        while let Some((at, _ev)) = q.pop() {
-            assert!(at.as_micros() >= last, "time went backwards");
-            last = at.as_micros();
-            got.push(at.as_micros());
-        }
-        assert_eq!(
-            got,
-            expect.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-            "pop times ascending with ties in push order"
-        );
-    }
-
-    #[test]
-    fn late_push_of_equal_time_pops_after_earlier_push() {
-        // An event far ahead lands on a high wheel level; after the cursor
-        // advances, a second event at the *same* time goes straight to level
-        // 0. The earlier push must still pop first.
-        let mut q: EventQueue<Vec<&'static str>> = EventQueue::new();
-        q.push(SimTime::from_micros(300), Box::new(|w, _| w.push("early")));
-        q.push(SimTime::from_micros(290), Box::new(|w, _| w.push("pre")));
-        // Pop the 290 event: the cursor moves into 300's window.
-        let (at, _) = q.pop().unwrap();
-        assert_eq!(at.as_micros(), 290);
-        q.push(SimTime::from_micros(300), Box::new(|w, _| w.push("late")));
-        let mut world = Vec::new();
-        while let Some((at2, ev)) = q.pop() {
-            assert_eq!(at2.as_micros(), 300);
-            let mut sched = Scheduler {
-                now: at2,
-                pending: Vec::new(),
-            };
-            ev(&mut world, &mut sched);
-        }
-        assert_eq!(world, vec!["early", "late"]);
-    }
-
-    #[test]
-    fn wheel_matches_reference_order_under_random_churn() {
-        use crate::rng::SimRng;
-        // Interleave pushes and pops; verify extraction matches a stable
-        // sort by (time, push-seq) — the binary-heap contract.
+    fn pops_follow_a_sort_by_instant_and_seq_under_churn() {
         let mut rng = SimRng::seed_from_u64(0xC0FF_EE00);
-        let mut q: EventQueue<()> = EventQueue::new();
-        let mut reference: Vec<(u64, u64)> = Vec::new(); // (time, seq) pending
-        let mut popped: Vec<u64> = Vec::new();
-        let mut expected: Vec<u64> = Vec::new();
-        let mut seq = 0u64;
+        let mut q = TimerQueue::new();
+        let mut next = 0u64;
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        let mut reserved: Vec<u64> = Vec::new();
         let mut now = 0u64;
         for _ in 0..5_000 {
-            if rng.chance(0.6) || reference.is_empty() {
-                // Push at now + skewed delta, crossing all level widths.
-                let delta = match rng.below(5) {
-                    0 => rng.below(64),
-                    1 => rng.below(1 << 10),
-                    2 => rng.below(1 << 18),
-                    3 => rng.below(1 << 26),
-                    _ => rng.below(1u64 << 34),
-                };
-                let t = now + delta;
-                q.push(SimTime::from_micros(t), Box::new(|_, _| {}));
-                reference.push((t, seq));
-                seq += 1;
-            } else {
-                let (at, _) = q.pop().expect("reference says non-empty");
-                popped.push(at.as_micros());
-                let best = reference
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &k)| k)
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                expected.push(reference.remove(best).0);
-                now = at.as_micros();
+            // Small steps make same-instant ties common.
+            let at = now + rng.below(4);
+            match rng.below(5) {
+                0 | 1 => {
+                    q.push(SimTime::from_micros(at), (at, next));
+                    pending.push((at, next));
+                    next += 1;
+                }
+                2 => {
+                    let n = 1 + rng.below(3);
+                    assert_eq!(q.reserve(n), next);
+                    reserved.extend(next..next + n);
+                    next += n;
+                }
+                3 if !reserved.is_empty() => {
+                    let seq = reserved.swap_remove(rng.below(reserved.len() as u64) as usize);
+                    q.push_keyed(SimTime::from_micros(at), seq, (at, seq));
+                    pending.push((at, seq));
+                }
+                _ if !pending.is_empty() => {
+                    let least = *pending.iter().min().expect("non-empty");
+                    pending.retain(|&k| k != least);
+                    let (at, seq, item) = q.pop().expect("a pending timer");
+                    assert_eq!((at.as_micros(), seq), least);
+                    assert_eq!(item, least);
+                    now = least.0;
+                }
+                _ => {}
             }
+            assert_eq!(q.is_empty(), pending.is_empty());
         }
-        while let Some((at, _)) = q.pop() {
-            popped.push(at.as_micros());
-        }
-        reference.sort_unstable();
-        expected.extend(reference.iter().map(|&(t, _)| t));
-        assert_eq!(popped, expected);
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        pending.sort_unstable();
+        let rest: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop()).map(|(_, _, k)| k).collect();
+        assert_eq!(rest, pending);
+
+        q.push(SimTime::from_micros(now), (now, next));
+        q.clear();
+        assert!(q.peek().is_none());
+        q.push(SimTime::ZERO, (0, 0));
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 0, (0, 0))));
+        assert_eq!(q.reserve(1), 1);
     }
 }

@@ -10,19 +10,19 @@
 //! The kernel is deliberately small and allocation-light:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time.
-//! * [`EventQueue`] — a hierarchical timing-wheel future event list with
-//!   deterministic FIFO tie-breaking for simultaneous events.
+//! * [`TimerQueue`] — the one event queue of every scheduler (the ATM
+//!   network, the MHEG engine, the facilitator model): a min-heap on
+//!   (instant, sequence), so events due at the same instant pop in the
+//!   order they were scheduled.
 //! * [`crc`] — the runtime-dispatched CRC-32 kernel shared by AAL5 and
 //!   the database write-ahead log.
-//! * [`Simulation`] — an executor that owns a mutable world `W` and runs
-//!   closures-as-events against it.
 //! * [`rng`] — seedable, splittable random streams so that experiments are
 //!   reproducible run-to-run.
 //! * [`stats`] — online statistics (mean/variance/min/max), fixed-bin
 //!   histograms with percentile queries, and time-weighted averages used by
 //!   every benchmark table in `EXPERIMENTS.md`.
-//! * [`queue`] — bounded FIFO queues with drop accounting and a token-bucket
-//!   (leaky-bucket) regulator, the building blocks of the ATM switch.
+//! * [`queue`] — the token-bucket (leaky-bucket) regulator behind ATM
+//!   usage parameter control.
 //! * [`trace`] — deterministic hierarchical spans/events stamped with
 //!   [`SimTime`], with JSONL and latency-waterfall exporters.
 //! * [`registry`] — a unified [`MetricsRegistry`] of named counters, gauges
@@ -44,18 +44,15 @@
 //! ## Example
 //!
 //! ```
-//! use mits_sim::{Simulation, SimTime};
+//! use mits_sim::{SimTime, TimerQueue};
 //!
-//! // World state: a counter.
-//! let mut sim = Simulation::new(0u64);
-//! for i in 0..10 {
-//!     sim.schedule(SimTime::from_millis(i), move |world: &mut u64, _sched| {
-//!         *world += 1;
-//!     });
-//! }
-//! let end = sim.run();
-//! assert_eq!(*sim.world(), 10);
-//! assert_eq!(end, SimTime::from_millis(9));
+//! // Events due at the same instant pop in the order they were pushed.
+//! let mut timers = TimerQueue::new();
+//! timers.push(SimTime::from_millis(2), "late");
+//! timers.push(SimTime::from_millis(1), "first");
+//! timers.push(SimTime::from_millis(1), "second");
+//! let order: Vec<_> = std::iter::from_fn(|| timers.pop()).map(|(_, _, e)| e).collect();
+//! assert_eq!(order, ["first", "second", "late"]);
 //! ```
 
 pub mod crc;
@@ -73,18 +70,18 @@ pub mod timeline;
 pub mod trace;
 
 pub use crc::crc32;
-pub use event::{EventQueue, Scheduler, Simulation};
+pub use event::TimerQueue;
 pub use forensics::{
     ChainLink, FaultWindow, FlightEvent, FlightKind, FlightRecorder, ForensicBundle, ForensicInput,
     SessionTail, FLIGHT_KINDS, FLIGHT_RING_CAP,
 };
 pub use profile::{classify_layer, profile_spans, profile_tracer, LayerTotal, NameTotal, Profile};
-pub use queue::{BoundedQueue, DropPolicy, TokenBucket};
+pub use queue::TokenBucket;
 pub use registry::{MetricsRegistry, MetricsSnapshot, SnapshotValue};
 pub use replay::{derive_seed, DigestTrace, Divergence, ReplayBundle};
 pub use rng::{ChanceThreshold, SimRng};
 pub use slo::{Slo, SloInput, SloKind, SloOutcome, SloReport, Verdict};
-pub use stats::{DelayMoments, Exemplar, Histogram, OnlineStats, RatioCounter, TimeWeighted};
+pub use stats::{DelayMoments, Exemplar, Histogram, OnlineStats, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Timeline, TimelineRecorder, WindowStats};
 pub use trace::{SampleReason, SpanId, SpanInfo, TailSignals, TraceSampler, Tracer};

@@ -1,117 +1,8 @@
-//! Queueing primitives: bounded FIFO with drop accounting and a token
-//! bucket (GCRA-equivalent leaky bucket) used for ATM traffic policing and
-//! shaping, and for the facilitator telephone-line model.
+//! The token bucket (GCRA-equivalent leaky bucket) behind ATM usage
+//! parameter control: a policed VC's `Policer` tags the cells it sends
+//! beyond its traffic contract.
 
-use crate::stats::RatioCounter;
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-
-/// What a [`BoundedQueue`] does when full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropPolicy {
-    /// Reject the arriving item (tail drop) — ATM output buffers.
-    DropTail,
-    /// Evict the oldest item to make room (head drop) — live media buffers
-    /// where stale frames are worthless.
-    DropHead,
-}
-
-/// A bounded FIFO queue that counts drops — the core of every switch port,
-/// server accept queue, and telephone hold queue in the reproduction.
-#[derive(Debug, Clone)]
-pub struct BoundedQueue<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    policy: DropPolicy,
-    /// Offered/accepted accounting: `hits` = drops, `total` = arrivals.
-    pub drops: RatioCounter,
-    high_water: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, policy: DropPolicy) -> Self {
-        assert!(capacity > 0, "zero-capacity queue");
-        BoundedQueue {
-            items: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            policy,
-            drops: RatioCounter::default(),
-            high_water: 0,
-        }
-    }
-
-    /// Offer an item. Returns the item that was dropped, if any
-    /// (the offered one under [`DropPolicy::DropTail`], the oldest under
-    /// [`DropPolicy::DropHead`]).
-    pub fn offer(&mut self, item: T) -> Option<T> {
-        let dropped = if self.items.len() >= self.capacity {
-            match self.policy {
-                DropPolicy::DropTail => {
-                    self.drops.record(true);
-                    return Some(item);
-                }
-                DropPolicy::DropHead => self.items.pop_front(),
-            }
-        } else {
-            None
-        };
-        if dropped.is_some() {
-            // A head drop is two ledger entries: one loss for the evicted
-            // item and one accepted arrival for the item taking its place.
-            self.drops.record(true);
-            self.drops.record(false);
-        } else {
-            self.drops.record(false);
-        }
-        self.items.push_back(item);
-        self.high_water = self.high_water.max(self.items.len());
-        dropped
-    }
-
-    /// Dequeue the oldest item.
-    pub fn take(&mut self) -> Option<T> {
-        self.items.pop_front()
-    }
-
-    /// Peek at the oldest item.
-    pub fn peek(&self) -> Option<&T> {
-        self.items.front()
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// True when at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Highest occupancy ever reached.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Iterate over queued items, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-}
 
 /// A token bucket: tokens accrue at `rate` per second up to `depth`;
 /// conforming traffic spends tokens. This is the Generic Cell Rate
@@ -182,51 +73,6 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tail_drop_rejects_arrival() {
-        let mut q = BoundedQueue::new(2, DropPolicy::DropTail);
-        assert!(q.offer(1).is_none());
-        assert!(q.offer(2).is_none());
-        assert_eq!(q.offer(3), Some(3), "arriving item bounced");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.take(), Some(1));
-        assert_eq!(q.drops.hits, 1);
-        assert_eq!(q.drops.total, 3);
-    }
-
-    #[test]
-    fn head_drop_evicts_oldest() {
-        let mut q = BoundedQueue::new(2, DropPolicy::DropHead);
-        q.offer(1);
-        q.offer(2);
-        assert_eq!(q.offer(3), Some(1), "oldest evicted");
-        assert_eq!(q.take(), Some(2));
-        assert_eq!(q.take(), Some(3));
-        assert_eq!(q.drops.hits, 1);
-        // Three arrivals all accepted plus one eviction: four ledger
-        // entries, one of them a loss.
-        assert_eq!(q.drops.total, 4);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut q = BoundedQueue::new(10, DropPolicy::DropTail);
-        for i in 0..7 {
-            q.offer(i);
-        }
-        for _ in 0..5 {
-            q.take();
-        }
-        assert_eq!(q.high_water(), 7);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-capacity")]
-    fn zero_capacity_panics() {
-        let _ = BoundedQueue::<u8>::new(0, DropPolicy::DropTail);
-    }
 
     #[test]
     fn token_bucket_conformance() {

@@ -617,34 +617,6 @@ impl TimeWeighted {
     }
 }
 
-/// A ratio counter for loss-style metrics (cells dropped / cells offered).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct RatioCounter {
-    /// Numerator (e.g. losses).
-    pub hits: u64,
-    /// Denominator (e.g. total offered).
-    pub total: u64,
-}
-
-impl RatioCounter {
-    /// Record one trial; `hit` increments the numerator.
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// hits / total (0 when empty).
-    pub fn ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -909,17 +881,5 @@ mod tests {
         plain.record(2.0);
         left.merge(&plain);
         assert_eq!(left.exemplars().count(), 2);
-    }
-
-    #[test]
-    fn ratio_counter() {
-        let mut r = RatioCounter::default();
-        for i in 0..100 {
-            r.record(i % 4 == 0);
-        }
-        assert_eq!(r.total, 100);
-        assert_eq!(r.hits, 25);
-        assert!((r.ratio() - 0.25).abs() < 1e-12);
-        assert_eq!(RatioCounter::default().ratio(), 0.0);
     }
 }

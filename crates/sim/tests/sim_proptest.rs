@@ -1,8 +1,8 @@
-//! Property tests for the simulation kernel: event ordering, statistics
+//! Property tests for the simulation kernel: timer ordering, statistics
 //! merge equivalence, histogram conservation, token-bucket conformance.
 
 use mits_sim::{
-    Histogram, OnlineStats, SimDuration, SimTime, Simulation, TimeWeighted, TokenBucket,
+    Histogram, OnlineStats, SimDuration, SimTime, TimeWeighted, TimerQueue, TokenBucket,
 };
 use proptest::prelude::*;
 
@@ -17,37 +17,19 @@ fn stats_approx_eq(a: &OnlineStats, b: &OnlineStats) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Events always execute in non-decreasing time order, regardless of
-    /// insertion order, with FIFO tie-breaks.
+    /// Whatever the insertion order, events pop in ascending instant and,
+    /// within an instant, in push order.
     #[test]
-    fn events_execute_in_time_order(times in prop::collection::vec(0u64..1_000, 1..100)) {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        for &t in &times {
-            sim.schedule(SimTime::from_micros(t), move |w: &mut Vec<u64>, _| w.push(t));
+    fn events_execute_in_time_order(times in prop::collection::vec(0u64..64, 1..100)) {
+        let mut q = TimerQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.push(SimTime::from_micros(t), i);
         }
-        sim.run();
-        let executed = sim.world();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(executed, &sorted);
-    }
-
-    /// run_until never executes an event past the deadline, and a
-    /// follow-up run executes exactly the rest.
-    #[test]
-    fn run_until_partitions_events(
-        times in prop::collection::vec(0u64..1_000, 1..60),
-        deadline in 0u64..1_000,
-    ) {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        for &t in &times {
-            sim.schedule(SimTime::from_micros(t), move |w: &mut Vec<u64>, _| w.push(t));
-        }
-        sim.run_until(SimTime::from_micros(deadline));
-        let early = sim.world().clone();
-        prop_assert!(early.iter().all(|&t| t <= deadline));
-        sim.run();
-        prop_assert_eq!(sim.world().len(), times.len());
+        let mut expect: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
+        expect.sort_unstable();
+        let popped: Vec<(u64, usize)> =
+            std::iter::from_fn(|| q.pop()).map(|(at, _, i)| (at.as_micros(), i)).collect();
+        prop_assert_eq!(popped, expect);
     }
 
     /// Merging split statistics equals computing them whole.

@@ -7,7 +7,6 @@ cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
-cargo bench --no-run
 
 # Determinism gate: the observability example's trace must reproduce the
 # checked-in golden byte for byte (same seed => same spans, same times).
@@ -40,8 +39,8 @@ import json, sys
 d = json.load(open(sys.argv[1]))
 for key in ("students", "digest", "digest_match_1_vs_n_threads",
             "metrics_match_1_vs_n_threads", "traces_sampled", "slo_breaches",
-            "bytes_simulated", "students_per_sec", "fetch200k_speedup",
-            "host_cores", "peak_rss_mb"):
+            "bytes_simulated", "students_per_sec", "students_per_sec_min",
+            "students_per_sec_max", "fetch200k_speedup", "host_cores", "peak_rss_mb"):
     assert key in d, f"BENCH_campus.json missing {key}"
 assert d["students"] > 0 and d["bytes_simulated"] > 0, "empty campus run"
 assert d["digest_match_1_vs_n_threads"] is True, "campus digest diverged"
@@ -206,9 +205,11 @@ PY
 echo "replay smoke passed: victim reproduced under proof, weathermap covers the route"
 
 # Bench regression gate: re-run the campus at the committed baseline's
-# own size and fail on a >25% drop in students/s throughput. Wall-clock
-# is noisy, so the tolerance is deliberately loose; a real regression
-# (like losing the zero-copy path) blows way past it.
+# own size and fail on a >25% drop in students/s throughput. Both sides
+# are medians: the baseline of five runs, the fresh figure of the run's
+# CAMPUS_LEGS N-thread legs (tables.rs). Wall-clock is noisy, so the
+# tolerance is deliberately loose; a real regression (like losing the
+# zero-copy path) blows way past it.
 gate_json="$(mktemp)"
 trap 'rm -f "$trace" "$rollup" "$campus_json" "$slo_json" "$shards_json" "$forensics_json" "$replay_json" "$gate_json"' EXIT
 baseline_students="$(python3 -c 'import json;print(json.load(open("BENCH_campus.json"))["students"])')"
